@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     sweep.stats = &stats;
     sweep.progress = true;
     harness::ObsSession session(args);
+    harness::reject_unknown_flags(args);
     session.attach(sweep);
 
     std::cout << "# " << spec.figure << "\n";

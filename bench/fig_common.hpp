@@ -33,6 +33,8 @@
 //   --spatial-out PREFIX  per-channel/per-node heatmap CSVs from one
 //                         extra instrumented run (--spatial-load,
 //                         --spatial-limiter select the point)
+// Any other flag is an error: the binary names it on stderr and exits
+// with status 2 before running anything.
 //
 // Output: a banner line, the expectation note from the paper, then CSV
 // on stdout; per-point progress/ETA and the sweep's wall-clock/points-
@@ -100,6 +102,7 @@ inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
     sweep.stats = &stats;
     sweep.progress = true;
     harness::ObsSession session(args);
+    harness::reject_unknown_flags(args);
     session.attach(sweep);
 
     std::cout << "# " << spec.figure << " — "

@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "core/cost_model.hpp"
+#include "harness/sweep.hpp"
 #include "util/cli.hpp"
 #include "obs/log.hpp"
 #include "util/csv.hpp"
@@ -16,6 +17,7 @@ using namespace wormsim;
 int main(int argc, char** argv) {
   try {
     const util::ArgParser args(argc, argv);
+    harness::reject_unknown_flags(args);
     std::cout << "# Hardware cost per router (two-input-gate equivalents; "
                  "conventions in core/cost_model.hpp)\n";
     std::cout << "# paper expectation: ALO needs only some logic gates — "
@@ -36,7 +38,6 @@ int main(int argc, char** argv) {
                 c.adder_bits, c.total_gate_equivalents());
       }
     }
-    (void)args;
     return 0;
   } catch (const std::exception& e) {
     obs::logf(obs::LogLevel::Error, "error: %s\n", e.what());

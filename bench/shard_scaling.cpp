@@ -298,6 +298,9 @@ int main(int argc, char** argv) {
                                                      : nullptr);
       }
     }
+    // The demo takes no flags: reject any instead of ignoring them.
+    wormsim::harness::reject_unknown_flags(
+        wormsim::util::ArgParser(argc, argv));
     return wormsim::bench::run_demo();
   } catch (const std::exception& e) {
     wormsim::obs::logf(wormsim::obs::LogLevel::Error, "error: %s\n",

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
     spec.stats = &stats;
     spec.progress = true;
     harness::ObsSession session(args);
+    harness::reject_unknown_flags(args);
     session.attach(spec);
 
     std::cout << harness::describe(base) << "\n";

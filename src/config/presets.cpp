@@ -71,7 +71,10 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
     }
   }
   // SoA status rows: per-net-link free/admissible masks and epoch
-  // counters, plus the per-slot slot->router map and route memo.
+  // counters, plus the per-slot slot->router map and both halves of the
+  // route memo (hot key + cold cached route). The per-message progress
+  // array grows with the message pool, which this estimate leaves out
+  // like the pool itself.
   f.status_bytes = net_links * (sizeof(std::uint8_t) * 2 +
                                 sizeof(std::uint64_t)) +
                    slots * sizeof(topo::NodeId);

@@ -349,6 +349,16 @@ unsigned jobs_flag(const util::ArgParser& args) {
   return static_cast<unsigned>(args.get_uint("jobs", 0));
 }
 
+void reject_unknown_flags(const util::ArgParser& args) {
+  const std::vector<std::string> unknown = args.unused();
+  if (unknown.empty()) return;
+  std::string keys;
+  for (const std::string& key : unknown) keys += " --" + key;
+  obs::logf(obs::LogLevel::Error, "error: unknown flag(s):%s\n",
+            keys.c_str());
+  std::exit(2);
+}
+
 void apply_scale_env(config::SimConfig& cfg) {
   const char* fast = std::getenv("WORMSIM_FAST");
   if (fast && fast[0] == '1') {

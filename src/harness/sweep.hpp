@@ -130,6 +130,13 @@ void apply_fault_flag(config::SimConfig& cfg, const util::ArgParser& args);
 /// so the knob is spelled the same everywhere.
 unsigned jobs_flag(const util::ArgParser& args);
 
+/// Exit with status 2, naming every flag no get_*/has call consumed
+/// ("error: unknown flag(s): --a --b" on stderr), when any went
+/// unconsumed. Every bench/example main calls this once all of its
+/// flags have been read, so a typo (`--shardz 4`) fails before any
+/// simulation runs instead of being silently ignored.
+void reject_unknown_flags(const util::ArgParser& args);
+
 /// Human banner describing a config (topology, router, workload).
 std::string describe(const config::SimConfig& cfg);
 

@@ -116,6 +116,8 @@ void emit_online(util::JsonWriter& w, const metrics::OnlineStats& online) {
 /// Shard count and the memory estimate live here too: they vary with
 /// the execution strategy, never the simulated results, so consumers
 /// that strip "perf" still see byte-identical records across --shards.
+/// The shard count is the one that ran, not the requested --shards: a
+/// tracer (which --metrics-out attaches) forces the sequential path.
 /// `online` (nullable) contributes the phase-profiler attribution.
 void emit_perf(util::JsonWriter& w, const config::SimConfig& cfg,
                const metrics::SimResult& r,
@@ -130,7 +132,7 @@ void emit_perf(util::JsonWriter& w, const config::SimConfig& cfg,
   w.field("route_memo_hit_rate", r.route_memo_hit_rate);
   w.key("shards");
   w.begin_object();
-  w.field("count", static_cast<std::uint64_t>(cfg.sim.shards));
+  w.field("count", static_cast<std::uint64_t>(r.shards));
   w.field("commit_decisions", r.commit_decisions);
   w.field("commit_conflicts", r.commit_conflicts);
   w.end_object();
@@ -346,10 +348,11 @@ ObsSession::ObsSession(const util::ArgParser& args)
     const std::string v = args.get_string("profile", "true");
     profile_period_ = v == "true" ? 64 : std::stoull(v);
   }
+  // Read unconditionally so the flag counts as known either way.
+  const auto trace_capacity = static_cast<std::size_t>(
+      args.get_uint("trace-capacity", std::size_t{1} << 16));
   if (!trace_path_.empty() || !metrics_path_.empty()) {
-    tracer_ = std::make_unique<obs::Tracer>(
-        static_cast<std::size_t>(args.get_uint(
-            "trace-capacity", std::size_t{1} << 16)));
+    tracer_ = std::make_unique<obs::Tracer>(trace_capacity);
   }
 }
 

@@ -98,6 +98,10 @@ struct SimResult {
   // commit invalidated (re-run inline).
   std::uint64_t commit_decisions = 0;
   std::uint64_t commit_conflicts = 0;
+  // Shard count the run's cycles actually took: 1 on the sequential
+  // path (one shard requested or clamped, or a tracer forced it),
+  // Simulator::shards() otherwise.
+  unsigned shards = 1;
 
   // Fault injection (all zero on healthy runs; also excluded from sweep
   // CSVs, which never carry fault columns)

@@ -1,6 +1,7 @@
 #include "metrics/sweep_stats.hpp"
 
 #include <cstdio>
+#include <iterator>
 
 namespace wormsim::metrics {
 
@@ -21,15 +22,36 @@ double SweepStats::cycles_per_second() const noexcept {
              : 0.0;
 }
 
+namespace {
+
+/// Three significant digits with a k/M/G suffix: paper-scale points run
+/// a few thousand cycles at a few thousand cycles/s, which fixed
+/// "%.1fM"/"%.0fk" formats rounded to zero.
+std::string si3(double v) {
+  static constexpr const char* kSuffix[] = {"", "k", "M", "G", "T"};
+  std::size_t i = 0;
+  // 999.5 and not 1000: %.3g would print 999.7 as "1e+03".
+  while (v >= 999.5 && i + 1 < std::size(kSuffix)) {
+    v /= 1000.0;
+    ++i;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3g%s", v, kSuffix[i]);
+  return buf;
+}
+
+}  // namespace
+
 std::string SweepStats::summary() const {
   char buf[200];
   std::snprintf(buf, sizeof(buf),
-                "%llu points (%llu sims, %.1fM cycles) in %.2f s — "
-                "%.2f points/s, %.0fk cycles/s, jobs=%u",
+                "%llu points (%llu sims, %s cycles) in %.2f s — "
+                "%s points/s, %s cycles/s, jobs=%u",
                 static_cast<unsigned long long>(points),
                 static_cast<unsigned long long>(simulations),
-                static_cast<double>(sim_cycles) / 1e6, wall_seconds,
-                points_per_second(), cycles_per_second() / 1e3, jobs);
+                si3(static_cast<double>(sim_cycles)).c_str(), wall_seconds,
+                si3(points_per_second()).c_str(),
+                si3(cycles_per_second()).c_str(), jobs);
   return buf;
 }
 

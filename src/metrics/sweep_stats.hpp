@@ -25,9 +25,9 @@ struct SweepStats {
   /// `jobs` and the per-simulator cycle rate).
   double cycles_per_second() const noexcept;
 
-  /// One human line for bench stderr, e.g.
-  /// "28 points (28 sims, 1.2M cycles) in 12.41 s — 2.3 points/s,
-  ///  96.7k cycles/s, jobs=4".
+  /// One human line for bench stderr, counts and rates to three
+  /// significant digits, e.g. "28 points (28 sims, 1.23M cycles) in
+  /// 12.41 s — 2.26 points/s, 99.5k cycles/s, jobs=4".
   std::string summary() const;
 };
 

@@ -65,13 +65,21 @@ struct VcState {
 };
 
 /// Fixed-delay link pipeline: at most one flit enters per cycle, so a
-/// ring of `delay + 1` entries always suffices.
+/// ring of `delay + 1` entries always suffices. Stored as parallel
+/// arrays so the arrival scan reads 4-byte stamps and the whole ring
+/// fits the Link's hot cache footprint. A stamp holds the low 32 bits
+/// of the arrival cycle: every entry is popped within kMaxDelay cycles
+/// of its push, so the signed 32-bit difference to `now` is exact
+/// across the 2^32 wrap.
 class InFlightQueue {
  public:
   static constexpr unsigned kMaxDelay = 7;
+  static constexpr unsigned kSlots = kMaxDelay + 1;
 
+  /// One in-flight flit, as front() returns it; `arrival` is the
+  /// 32-bit stamp.
   struct Entry {
-    Cycle arrival = 0;
+    std::uint32_t arrival = 0;
     std::uint8_t vc = 0;
     MsgId msg = kNoMsg;
   };
@@ -80,29 +88,41 @@ class InFlightQueue {
   unsigned size() const noexcept { return count_; }
 
   void push(Cycle arrival, std::uint8_t vc, MsgId msg) noexcept {
-    assert(count_ < kMaxDelay + 1);
-    ring_[(head_ + count_) % (kMaxDelay + 1)] = Entry{arrival, vc, msg};
+    assert(count_ < kSlots);
+    const unsigned i = (head_ + count_) % kSlots;
+    arrival_[i] = static_cast<std::uint32_t>(arrival);
+    vc_[i] = vc;
+    msg_[i] = msg;
     ++count_;
   }
 
-  const Entry& front() const noexcept {
+  /// True iff the queue is non-empty and its front flit arrives at or
+  /// before `now` (wrap-safe stamp comparison).
+  bool front_due(Cycle now) const noexcept {
+    return count_ != 0 &&
+           static_cast<std::int32_t>(static_cast<std::uint32_t>(now) -
+                                     arrival_[head_]) >= 0;
+  }
+
+  Entry front() const noexcept {
     assert(count_ > 0);
-    return ring_[head_];
+    return Entry{arrival_[head_], vc_[head_], msg_[head_]};
   }
 
   void pop() noexcept {
     assert(count_ > 0);
-    head_ = (head_ + 1) % (kMaxDelay + 1);
+    head_ = static_cast<std::uint8_t>((head_ + 1u) % kSlots);
     --count_;
   }
 
   /// Drop every in-flight flit belonging to `msg` (deadlock-recovery
-  /// absorption); returns the number removed.
+  /// absorption); returns the number removed. Survivors keep their
+  /// order and move to the front of the ring.
   unsigned drop_message(MsgId msg) noexcept {
     unsigned kept = 0, dropped = 0;
-    Entry tmp[kMaxDelay + 1];
+    Entry tmp[kSlots];
     while (count_ > 0) {
-      if (front().msg == msg) {
+      if (msg_[head_] == msg) {
         ++dropped;
       } else {
         tmp[kept++] = front();
@@ -110,30 +130,40 @@ class InFlightQueue {
       pop();
     }
     head_ = 0;
-    for (unsigned i = 0; i < kept; ++i) ring_[i] = tmp[i];
+    for (unsigned i = 0; i < kept; ++i) {
+      arrival_[i] = tmp[i].arrival;
+      vc_[i] = tmp[i].vc;
+      msg_[i] = tmp[i].msg;
+    }
     count_ = static_cast<std::uint8_t>(kept);
     return dropped;
   }
 
  private:
-  Entry ring_[kMaxDelay + 1];
   std::uint8_t head_ = 0;
   std::uint8_t count_ = 0;
+  std::uint8_t vc_[kSlots]{};
+  std::uint32_t arrival_[kSlots]{};
+  MsgId msg_[kSlots]{};
 };
 
 /// One unidirectional physical channel (or injection channel). VC
-/// storage lives in the Network's flat array; the Link carries topology
-/// endpoints, arbitration state and the in-flight pipeline.
+/// storage lives in the Network's flat array; the Link carries
+/// arbitration state, topology endpoints and the in-flight pipeline.
+/// Field order is hot-first: transmit reads the arbitration byte pair
+/// on every visit, so it leads the record.
 struct Link {
-  NodeId src = topo::kInvalidNode;  // kInvalidNode for injection links
-  NodeId dst = topo::kInvalidNode;
-  ChannelId src_channel = 0;  // output-channel index at src (network links)
-
-  InFlightQueue in_flight{};
   std::uint8_t rr_next = 0;          // round-robin VC arbitration pointer
   std::uint8_t active_vc_mask = 0;   // bit v set iff VC v has a tenant
+  ChannelId src_channel = 0;  // output-channel index at src (network links)
+  NodeId src = topo::kInvalidNode;  // kInvalidNode for injection links
+  NodeId dst = topo::kInvalidNode;
+  InFlightQueue in_flight{};
   std::uint64_t flits_carried = 0;   // cumulative utilization counter
 };
+// Cache budget: 5,120 links of the 512-node paper network stay within
+// ~480 KB (see DESIGN.md "Hot-state layout").
+static_assert(sizeof(Link) <= 96, "Link outgrew its cache budget");
 
 /// Ejection port: consumes one flit per cycle from the bound VC.
 struct EjectPort {

@@ -27,9 +27,9 @@ struct Message {
   /// message sits in a source/recovery queue.
   VcRef head{};
 
-  /// Cycle any flit of this message last moved (injected, forwarded or
-  /// ejected) — drives FC3D-style inactivity detection.
-  Cycle last_progress = 0;
+  // The cycle any flit last moved lives in the simulator's dense
+  // per-MsgId progress array, not here: every forwarded flit writes it,
+  // and 8 contiguous bytes are cheaper to touch than this record.
 
   std::uint16_t deadlock_detections = 0;  // times absorbed by recovery
   bool measured = false;    // generated inside the measurement window

@@ -192,8 +192,8 @@ class Network final : public core::ChannelStatus {
     Link& l = links_[link_id];
     VcState* const row =
         vcs_.data() + static_cast<std::size_t>(link_id) * params_.num_vcs;
-    while (!l.in_flight.empty() && l.in_flight.front().arrival <= now) {
-      const auto entry = l.in_flight.front();
+    while (l.in_flight.front_due(now)) {
+      const InFlightQueue::Entry entry = l.in_flight.front();
       VcState& v = row[entry.vc];
       assert(v.msg == entry.msg);
       if (v.in_count == 0) {

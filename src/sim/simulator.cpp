@@ -85,7 +85,10 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
     faults_ = std::make_unique<fault::FaultManager>(topo_, cfg_.faults);
   }
   memo_on_ = active && cfg_.fastpath.route_memo;
-  if (memo_on_) route_memo_.resize(net_.num_vc_slots());
+  if (memo_on_) {
+    route_memo_.resize(net_.num_vc_slots());
+    route_memo_route_.resize(net_.num_vc_slots());
+  }
   static_dispatch_on_ = active && cfg_.fastpath.static_dispatch;
   resolve_limiter_dispatch();
   // Flow-control scheme, resolved once like the limiter dispatch above.
@@ -156,7 +159,7 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
 }
 
 std::size_t Simulator::route_memo_entry_bytes() noexcept {
-  return sizeof(RouteMemo);
+  return sizeof(RouteMemo) + sizeof(routing::RouteResult);
 }
 
 void Simulator::resolve_limiter_dispatch() {
@@ -588,11 +591,10 @@ void Simulator::eject_node(NodeId node, Cycle t) {
     if (!port.busy()) continue;
     VcState& u = net_.vc(port.src);
     if (u.buffered() == 0) continue;
-    Message& m = pool_[port.msg];
     ++u.out_count;
     --u.occupancy;
     u.last_activity = t;
-    m.last_progress = t;
+    last_progress_[port.msg] = t;
     // Ejected flits return credits like forwarded ones — except from an
     // injection VC, which sits outside the credit loop (a recovery
     // re-injection at the absorb node can eject straight from one when
@@ -604,7 +606,7 @@ void Simulator::eject_node(NodeId node, Cycle t) {
     if (timeseries_) timeseries_->on_flits_ejected(t, 1);
     if (online_) online_->on_flits_ejected(1);
     if (spatial_) spatial_->on_ejected_flit(node);
-    if (u.out_count == m.length) {
+    if (u.out_count == u.msg_length) {
       net_.set_active(port.src, false);
       if (tracer_) {
         tracer_->record(t, obs::EventKind::VcRelease, port.src.link,
@@ -649,11 +651,10 @@ void Simulator::eject_node_sharded(NodeId node, Cycle t, unsigned s) {
     // The upstream VC may live on a link word another shard owns, but
     // no other shard touches it this phase: eject is the only writer of
     // VcStates here and each VC feeds at most one ejection port.
-    Message& m = pool_[port.msg];
     ++u.out_count;
     --u.occupancy;
     u.last_activity = t;
-    m.last_progress = t;
+    last_progress_[port.msg] = t;
     // Per-flit counting hooks are additive over the cycle, so the lane
     // batches one count per shard (merged at the barrier) and the
     // spatial per-node counter — owned by this shard — lands inline.
@@ -666,7 +667,7 @@ void Simulator::eject_node_sharded(NodeId node, Cycle t, unsigned s) {
     if (ev.credit) {
       ev.slot = static_cast<std::uint32_t>(net_.vc_flat_index(port.src));
     }
-    ev.completed = u.out_count == m.length;
+    ev.completed = u.out_count == u.msg_length;
     if (ev.completed) {
       u.clear();
       port.msg = kNoMsg;
@@ -802,7 +803,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   if (memo_on_ && route_memo_[slot].msg == v.msg) {
     memo = &route_memo_[slot];
     ++scan_.route_memo_hits;
-    route = &memo->route;
+    route = &route_memo_route_[slot];
     epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
     still_blocked = epoch_sum == memo->epoch_sum;
   } else {
@@ -813,7 +814,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       if (port < 0) return false;  // wait for an ejection channel
       net_.bind_eject(ref, node, static_cast<unsigned>(port), v.msg);
       eject_nodes_.insert(node);
-      m.last_progress = t;
+      last_progress_[v.msg] = t;
       v.pending_route = false;
       stamp_route_slot(slot, t);
       stamp_route_node(node, t);
@@ -823,15 +824,16 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     }
     if (memo_on_) {
       memo = &route_memo_[slot];
+      routing::RouteResult& cached = route_memo_route_[slot];
       if (memo->dst == m.dst) {
         ++scan_.route_memo_hits;
       } else {
-        route_at(node, m.dst, memo->route);
+        route_at(node, m.dst, cached);
         memo->dst = m.dst;
         memo->epoch_sum = kNoEpoch;
-        memo->cand_mask = candidate_channel_mask(memo->route);
+        memo->cand_mask = candidate_channel_mask(cached);
       }
-      route = &memo->route;
+      route = &cached;
       epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
       still_blocked = epoch_sum == memo->epoch_sum;
     } else {
@@ -895,12 +897,10 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
         memo->no_detect_before = v.header_arrival + threshold;
       }
     } else if (memo == nullptr || t >= memo->no_detect_before) {
-      const Message& m = pool_[v.msg];
+      const Cycle progress = last_progress_[v.msg];
       Cycle earliest = 0;
-      if (t - m.last_progress < threshold) {
-        if (memo != nullptr) {
-          memo->no_detect_before = m.last_progress + threshold;
-        }
+      if (t - progress < threshold) {
+        if (memo != nullptr) memo->no_detect_before = progress + threshold;
       } else if (requested_channels_frozen(node, t, *route, &earliest)) {
         absorb_deadlocked(v.msg, t);
         pending_route_[i] = pending_route_.back();
@@ -926,7 +926,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   Message& m = pool_[v.msg];
   m.head = out;
   m.entered_network = true;
-  m.last_progress = t;
+  last_progress_[v.msg] = t;
   v.pending_route = false;
   stamp_route_slot(slot, t);
   stamp_route_node(node, t);
@@ -994,7 +994,7 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
   if (memo_on_ && route_memo_[slot].msg == v.msg) {
     memo = &route_memo_[slot];
     d.hits = 1;
-    route = &memo->route;
+    route = &route_memo_route_[slot];
     epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
     still_blocked = epoch_sum == memo->epoch_sum;
     ndb_now = memo->no_detect_before;
@@ -1015,7 +1015,7 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
       memo = &route_memo_[slot];
       if (memo->dst == m.dst) {
         d.hits = 1;
-        route = &memo->route;
+        route = &route_memo_route_[slot];
         epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
         still_blocked = epoch_sum == memo->epoch_sum;
       } else {
@@ -1077,12 +1077,12 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
         d.ndb = v.header_arrival + threshold;
       }
     } else if (memo == nullptr || t >= (d.tenancy_reset ? 0 : ndb_now)) {
-      const Message& m = pool_[v.msg];
+      const Cycle progress = last_progress_[v.msg];
       Cycle earliest = 0;
-      if (t - m.last_progress < threshold) {
+      if (t - progress < threshold) {
         if (memo != nullptr) {
           d.write_ndb = true;
-          d.ndb = m.last_progress + threshold;
+          d.ndb = progress + threshold;
         }
       } else if (requested_channels_frozen(node, t, *route, &earliest)) {
         d.kind = RouteDecKind::Absorb;
@@ -1165,7 +1165,7 @@ void Simulator::route_commit(Cycle t) {
         const NodeId node = vc_node_[e.slot];
         net_.bind_eject(e.ref, node, static_cast<unsigned>(d.port), d.msg);
         eject_nodes_.insert(node);
-        m.last_progress = t;
+        last_progress_[d.msg] = t;
         net_.vc(e.ref).pending_route = false;
         stamp_route_slot(e.slot, t);
         stamp_route_node(node, t);
@@ -1181,7 +1181,7 @@ void Simulator::route_commit(Cycle t) {
         if (memo_on_) {
           RouteMemo& memo = route_memo_[e.slot];
           if (d.fresh_route) {
-            memo.route = d.route;
+            route_memo_route_[e.slot] = d.route;
             memo.dst = d.dst;
             memo.epoch_sum = kNoEpoch;
             memo.cand_mask = d.cand_mask;
@@ -1217,7 +1217,7 @@ void Simulator::route_commit(Cycle t) {
         if (memo_on_) {
           RouteMemo& memo = route_memo_[e.slot];
           if (d.fresh_route) {
-            memo.route = d.route;
+            route_memo_route_[e.slot] = d.route;
             memo.dst = d.dst;
             memo.epoch_sum = kNoEpoch;
             memo.cand_mask = d.cand_mask;
@@ -1234,7 +1234,7 @@ void Simulator::route_commit(Cycle t) {
         Message& m = pool_[d.msg];
         m.head = out;
         m.entered_network = true;
-        m.last_progress = t;
+        last_progress_[d.msg] = t;
         net_.vc(e.ref).pending_route = false;
         stamp_route_slot(e.slot, t);
         stamp_route_node(node, t);
@@ -1296,7 +1296,7 @@ void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
     if (freed && tracer_) {
       tracer_->record(t, obs::EventKind::VcRelease, up.link, up.vc, 0, msg);
     }
-    pool_[msg].last_progress = t;
+    last_progress_[msg] = t;
     link.rr_next = vcn + 1u == vcs ? 0 : static_cast<std::uint8_t>(vcn + 1u);
     // Every upstream-side effect of this send (drained buffer, freed
     // tail, returned credit) lives on up.link: stamp it so a later
@@ -1395,7 +1395,7 @@ void Simulator::transmit_commit(Cycle t) {
       if (!net_.is_injection(up.link)) {
         fc_on_drained(net_.vc_flat_index(up), t);
       }
-      pool_[msg].last_progress = t;
+      last_progress_[msg] = t;
       link.rr_next = static_cast<unsigned>(d.vcn) + 1u == vcs
                          ? 0
                          : static_cast<std::uint8_t>(d.vcn + 1);
@@ -1433,8 +1433,8 @@ void Simulator::start_injection(NodeId node, unsigned inj_channel, MsgId id,
   m.in_network = true;
   m.at_destination = false;
   m.entered_network = false;
-  m.last_progress = t;
   m.inject_time = t;
+  last_progress_[id] = t;
   enroll_for_routing(ref);
 }
 
@@ -1451,7 +1451,7 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     if (v.in_count < v.msg_length && v.occupancy < cap) {
       ++v.in_count;
       ++v.occupancy;
-      pool_[v.msg].last_progress = t;
+      last_progress_[v.msg] = t;
     }
   }
 
@@ -1539,6 +1539,7 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     }
 
     const MsgId id = pool_.allocate();
+    if (id >= last_progress_.size()) last_progress_.resize(pool_.capacity());
     Message& m = pool_[id];
     m.src = node;
     m.dst = pm.dst;
@@ -1657,7 +1658,7 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
   m.in_network = false;
   m.at_destination = false;
   m.entered_network = false;
-  m.last_progress = t;
+  last_progress_[id] = t;
 }
 
 void Simulator::absorb_deadlocked(MsgId id, Cycle t) {
@@ -2105,6 +2106,7 @@ metrics::SimResult Simulator::run(const RunProtocol& protocol) {
   r.route_memo_hit_rate = window.route_memo_hit_rate();
   r.commit_decisions = window.commit_decisions;
   r.commit_conflicts = window.commit_conflicts;
+  r.shards = use_sharded_step() ? shards_eff_ : 1u;
   return r;
 }
 

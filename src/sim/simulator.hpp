@@ -657,6 +657,11 @@ class Simulator {
   metrics::OnlineStats* online_ = nullptr;      // non-owning; null = off
 
   MessagePool pool_;
+  /// Cycle any flit of message `id` last moved (injected, forwarded or
+  /// ejected), indexed by MsgId and grown with the pool — drives
+  /// FC3D-style inactivity detection. Kept out of Message so the
+  /// per-flit write touches 8 dense bytes, not a 64-byte record.
+  std::vector<Cycle> last_progress_;
   std::vector<MsgId> active_;
 
   std::vector<std::deque<PendingMessage>> queues_;
@@ -679,12 +684,16 @@ class Simulator {
   util::SmallVector<traffic::GeneratedMessage, 8> gen_buf_;
 
   // --- Saturated-regime fast path (active core only) -------------------
-  /// Per-VC-slot route memo for blocked headers. The cached route is a
-  /// pure function of (node, dst) — node is fixed per slot — so an
-  /// entry stays valid across tenancies; `dst` is the lookup key.
-  /// `epoch_sum` snapshots candidate_epoch_sum at the last failed
-  /// selection: while it is unchanged the header is still blocked and
-  /// both the route and the selection are skipped.
+  /// Per-VC-slot route memo for blocked headers, split hot/cold: the
+  /// 32-byte key below is all the parked check reads (most route visits
+  /// under saturation end there), while the cached RouteResult lives in
+  /// the parallel route_memo_route_ array, read only by headers that
+  /// are actually re-evaluated. The cached route is a pure function of
+  /// (node, dst) — node is fixed per slot — so an entry stays valid
+  /// across tenancies; `dst` is the lookup key. `epoch_sum` snapshots
+  /// candidate_epoch_sum at the last failed selection: while it is
+  /// unchanged the header is still blocked and both the route and the
+  /// selection are skipped.
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
   struct RouteMemo {
     /// Tenancy key: set when this slot's header blocks, cleared when
@@ -706,9 +715,11 @@ class Simulator {
     /// threshold). Both sources are monotone, so skipping evaluation
     /// until then is exact, not heuristic. Reset on tenancy change.
     Cycle no_detect_before = 0;
-    routing::RouteResult route;
   };
+  static_assert(sizeof(RouteMemo) <= 32, "route-memo key outgrew 32 B");
   std::vector<RouteMemo> route_memo_;  // empty when the memo is off
+  /// Cached candidates of route_memo_[slot]'s `dst` (cold half).
+  std::vector<routing::RouteResult> route_memo_route_;
   /// Router node owning each VC slot's output side (the link's dst),
   /// indexed like route_memo_ — replaces a Link load in phase_route.
   std::vector<NodeId> vc_node_;

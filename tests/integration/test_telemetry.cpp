@@ -224,5 +224,60 @@ TEST(Telemetry, CaptureSpatialWritesParseableCsvs) {
   }
 }
 
+TEST(Telemetry, ShardCountReportsThePathThatRan) {
+  // 4-ary 4-cube: 256 nodes = four 64-node bitmap words, so four
+  // shards survive the simulator's clamp.
+  config::SimConfig cfg = telemetry_base();
+  cfg.k = 4;
+  cfg.n = 4;
+  cfg.protocol.warmup = 50;
+  cfg.protocol.measure = 100;
+  cfg.protocol.drain_max = 0;
+  cfg.sim.shards = 4;
+  cfg.sim.limiter.kind = core::LimiterKind::ALO;
+  cfg.workload.offered_flits_per_node_cycle = 0.6;
+
+  // Untraced: the sharded path runs with every requested shard.
+  EXPECT_EQ(config::run_experiment(cfg).shards, 4u);
+
+  // A tracer forces the sequential path, so the record must say 1 even
+  // though the config asked for 4.
+  obs::Tracer tracer(1u << 10);
+  config::RunHooks hooks;
+  hooks.tracer = &tracer;
+  SweepSpec spec;
+  spec.base = cfg;
+  spec.tracer = &tracer;
+  const std::vector<SweepPoint> points = {
+      {core::LimiterKind::ALO, 0.6, config::run_experiment(cfg, hooks), {}}};
+  EXPECT_EQ(points[0].result.shards, 1u);
+  std::ostringstream os;
+  write_sweep_telemetry(os, spec, points, nullptr);
+  std::string err;
+  const auto rec = util::json_parse(lines_of(os.str()).front(), &err);
+  ASSERT_TRUE(rec.has_value()) << err;
+  ASSERT_NE(rec->at_path("perf.shards.count"), nullptr);
+  EXPECT_DOUBLE_EQ(rec->at_path("perf.shards.count")->number, 1.0);
+}
+
+TEST(UnknownFlags, NamedAndRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--shardz", "4", "--jobs",
+                              "2", "--warmpu=10"};
+  const util::ArgParser args(6, argv);
+  EXPECT_EQ(jobs_flag(args), 2u);
+  EXPECT_EXIT(reject_unknown_flags(args), ::testing::ExitedWithCode(2),
+              "unknown flag\\(s\\): --shardz --warmpu");
+}
+
+TEST(UnknownFlags, AllConsumedPasses) {
+  const char* const argv[] = {"quickstart", "--offered", "0.5", "--seed=3"};
+  const util::ArgParser args(4, argv);
+  config::SimConfig cfg = config::small_base();
+  apply_common_flags(cfg, args);
+  EXPECT_DOUBLE_EQ(args.get_double("offered", 0.1), 0.5);
+  reject_unknown_flags(args);  // returns instead of exiting
+  EXPECT_EQ(cfg.seed, 3u);
+}
+
 }  // namespace
 }  // namespace wormsim::harness

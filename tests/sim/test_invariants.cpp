@@ -2,6 +2,9 @@
 // messages and flits, buffer bounds, clean drain, and determinism.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "config/presets.hpp"
 #include "sim_test_util.hpp"
 
 namespace wormsim::sim {
@@ -68,6 +71,39 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(0.1, 3u), std::make_tuple(0.5, 3u),
                       std::make_tuple(0.9, 3u), std::make_tuple(1.5, 3u),
                       std::make_tuple(0.7, 1u), std::make_tuple(0.7, 2u)));
+
+/// The paper's saturated regime at full scale (512-node 8-ary 3-cube,
+/// TFAR + ALO, load 1.0) in the Release build tier-1 runs: step() only
+/// asserts these invariants in Debug builds, so without this test no
+/// Release run checks them at 512 nodes. Covers the sequential and the
+/// sharded cycle loop (eight 64-node words, so four shards survive).
+class PaperScaleSaturated : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(PaperScaleSaturated, InvariantsHoldEvery100Cycles) {
+  config::SimConfig cfg = config::paper_base();
+  cfg.sim.limiter.kind = core::LimiterKind::ALO;
+  cfg.sim.shards = GetParam();
+  cfg.workload.offered_flits_per_node_cycle = 1.0;
+  cfg.seed = 1;
+  auto sim = config::build_simulator(cfg);
+  ASSERT_EQ(sim->topology().num_nodes(), 512u);
+  ASSERT_EQ(sim->shards(), GetParam());
+  std::string why;
+  for (int block = 1; block <= 10; ++block) {
+    sim->step_cycles(100);
+    ASSERT_TRUE(sim->check_conservation(&why)) << why << " @" << block;
+    ASSERT_TRUE(sim->check_active_sets(&why)) << why << " @" << block;
+    ASSERT_TRUE(sim->check_flow_control(&why)) << why << " @" << block;
+  }
+  // Saturated, not idle: traffic queues at the sources and blocked
+  // headers take the route memo's parked path.
+  EXPECT_GT(sim->source_queue_total(), 0u);
+  EXPECT_GT(sim->scan_stats().route_memo_hits, 0u);
+  EXPECT_GT(sim->total_delivered(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, PaperScaleSaturated,
+                         ::testing::Values(1u, 4u));
 
 TEST(Invariants, NetworkDrainsWhenTrafficStops) {
   auto sim = make_traffic_sim(4, 2, 0.5, 16, default_config());

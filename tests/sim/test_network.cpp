@@ -193,6 +193,55 @@ TEST(InFlightQueueTest, DropMessageKeepsOthersInOrder) {
   EXPECT_EQ(q.front().arrival, 13u);
 }
 
+TEST(InFlightQueueTest, ArrivalStampsWrapPast32Bits) {
+  // Stamps keep the low 32 bits of the arrival cycle; due checks stay
+  // exact across the 2^32 boundary because an entry lives at most
+  // kMaxDelay cycles.
+  constexpr Cycle kWrap = Cycle{1} << 32;
+  InFlightQueue q;
+  q.push(kWrap - 1, 0, 1);
+  q.push(kWrap, 1, 2);
+  q.push(kWrap + 1, 2, 3);
+  EXPECT_FALSE(q.front_due(kWrap - 2));
+  EXPECT_TRUE(q.front_due(kWrap - 1));
+  q.pop();
+  EXPECT_FALSE(q.front_due(kWrap - 1));
+  EXPECT_TRUE(q.front_due(kWrap));
+  EXPECT_EQ(q.front().arrival, 0u);  // the stamp wrapped
+  EXPECT_EQ(q.front().msg, 2u);
+  q.pop();
+  EXPECT_FALSE(q.front_due(kWrap));
+  EXPECT_TRUE(q.front_due(kWrap + InFlightQueue::kMaxDelay));
+  q.pop();
+  EXPECT_FALSE(q.front_due(kWrap + 1));  // empty queues are never due
+}
+
+TEST(InFlightQueueTest, ArrivalsDeliverAcrossTheWrap) {
+  // End to end through Network: a flit sent just below 2^32 cycles
+  // lands link_delay cycles later, on the other side of the wrap.
+  const topo::KAryNCube topo(4, 2);
+  Network net(topo, NetworkParams{});
+  const VcRef from{net.inj_link(0, 0), 0};
+  VcState& u = net.vc(from);
+  u.msg = 3;
+  u.in_count = 2;
+  u.occupancy = 2;
+  net.set_active(from, true);
+  const VcRef out{net.net_link(0, 0), 0};
+  net.allocate_out_vc(from, out, 3, 0);
+  const Cycle sent = (Cycle{1} << 32) - 1;
+  net.transmit_flit(from, /*msg_length=*/16, sent);
+  int headers = 0;
+  net.process_arrivals(out.link, sent + 1, [&](VcRef) { ++headers; });
+  EXPECT_EQ(headers, 0);
+  net.process_arrivals(out.link, sent + net.params().link_delay,
+                       [&](VcRef) { ++headers; });
+  EXPECT_EQ(headers, 1);
+  EXPECT_EQ(net.vc(out).in_count, 1u);
+  EXPECT_EQ(net.vc(out).header_arrival, sent + net.params().link_delay);
+  EXPECT_TRUE(net.link(out.link).in_flight.empty());
+}
+
 TEST(InFlightQueueTest, DropOnEmptyIsZero) {
   InFlightQueue q;
   EXPECT_EQ(q.drop_message(1), 0u);
