@@ -45,9 +45,7 @@ int main(int argc, char** argv) {
     // saturate the network; pass --sync=false to see that control.)
     base.workload.bursty.synchronized = args.get_bool("sync", true);
 
-    const auto means = harness::load_range(
-        args.get_double("min-load", 0.2), args.get_double("max-load", 0.5),
-        static_cast<unsigned>(args.get_uint("loads", 4)));
+    const auto means = harness::load_range_flags(args, 0.2, 0.5, 4);
     const unsigned jobs = harness::jobs_flag(args);
     harness::reject_unknown_flags(args);
 

@@ -28,8 +28,9 @@ class RuleAblationLimiter final : public core::InjectionLimiter {
 
   bool allow(const core::InjectionRequest& req,
              const core::ChannelStatus& status) override {
-    const auto cond = core::evaluate_alo(status, req.node,
-                                         req.route->useful_phys_mask);
+    const auto cond =
+        core::evaluate_alo(status.free_row(req.node), status.num_vcs(),
+                           req.route->useful_phys_mask);
     switch (rules_) {
       case RuleSet::AOnly: return cond.all_useful_partially_free;
       case RuleSet::BOnly: return cond.any_useful_completely_free ||
@@ -75,9 +76,7 @@ int main(int argc, char** argv) {
         "rule (b) alone under-throttles; (a OR b) = ALO dominates both";
     config::SimConfig base = bench::figure_base(spec, args);
 
-    const auto loads = harness::load_range(
-        args.get_double("min-load", 0.3), args.get_double("max-load", 1.2),
-        static_cast<unsigned>(args.get_uint("loads", 5)));
+    const auto loads = harness::load_range_flags(args, 0.3, 1.2, 5);
     const unsigned jobs = harness::jobs_flag(args);
     harness::reject_unknown_flags(args);
 

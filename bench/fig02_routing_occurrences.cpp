@@ -21,10 +21,7 @@ int main(int argc, char** argv) {
     config::SimConfig cfg = bench::figure_base(spec, args);
     cfg.sim.limiter.kind = core::LimiterKind::None;
 
-    const auto loads = harness::load_range(
-        args.get_double("min-load", 0.05),
-        args.get_double("max-load", 0.8),
-        static_cast<unsigned>(args.get_uint("loads", 8)));
+    const auto loads = harness::load_range_flags(args, 0.05, 0.8, 8);
     harness::reject_unknown_flags(args);
 
     std::cout << "# Figure 2 — ALO routing-occurrence probe, uniform "

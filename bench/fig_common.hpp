@@ -5,8 +5,10 @@
 //   WORMSIM_FAST=1        shrink to the 64-node preset (CI-sized)
 //   WORMSIM_JOBS=N        default sweep parallelism (--jobs overrides)
 //   --jobs N              worker threads (0 = auto, 1 = serial engine)
-//   --loads N             number of offered-load points (default 7)
+//   --loads N             number of offered-load points (default 7,
+//                         at least 1)
 //   --min-load/--max-load sweep range in flits/node/cycle
+//                         (0 <= min-load <= max-load)
 //   --warmup/--measure/--drain, --k/--n/--vcs/--msg-len/--pattern/--seed
 //   --core dense|active   cycle-loop implementation (default: active;
 //                         results are bit-identical, only speed differs)
@@ -25,7 +27,7 @@
 //   --timeseries-out FILE wormsim.timeseries/1 JSONL: one record per
 //                         recording window of every sweep point
 //   --online-window N     online recording-window width in cycles
-//                         (default 256)
+//                         (default 256, at least 1)
 //   --profile [N]         per-phase cycle-loop self-profiler, timing
 //                         every N-th cycle (bare flag: 64); results are
 //                         wall-clock and live under telemetry "perf"
@@ -33,8 +35,9 @@
 //   --spatial-out PREFIX  per-channel/per-node heatmap CSVs from one
 //                         extra instrumented run (--spatial-load,
 //                         --spatial-limiter select the point)
-// Any other flag is an error: the binary names it on stderr and exits
-// with status 2 before running anything.
+// Any other flag, or a value outside these ranges, is an error: the
+// binary names the flag on stderr and exits with status 2 before
+// running anything.
 //
 // Output: a banner line, the expectation note from the paper, then CSV
 // on stdout; per-point progress/ETA and the sweep's wall-clock/points-
@@ -93,10 +96,8 @@ inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
     harness::SweepSpec sweep;
     sweep.base = cfg;
     sweep.limiters = spec.limiters;
-    sweep.offered_loads = harness::load_range(
-        args.get_double("min-load", spec.min_load),
-        args.get_double("max-load", spec.max_load),
-        static_cast<unsigned>(args.get_uint("loads", spec.loads)));
+    sweep.offered_loads = harness::load_range_flags(
+        args, spec.min_load, spec.max_load, spec.loads);
     sweep.jobs = harness::jobs_flag(args);
     metrics::SweepStats stats;
     sweep.stats = &stats;

@@ -32,16 +32,21 @@ class OccupancyCapLimiter final : public core::InjectionLimiter {
 
   bool allow(const core::InjectionRequest& req,
              const core::ChannelStatus& status) override {
-    unsigned busy = 0;
+    // The node's status register: one free-VC mask byte per physical
+    // output channel.
+    const std::uint8_t* free_row = status.free_row(req.node);
     const std::uint32_t vc_field = (1u << status.num_vcs()) - 1u;
+    unsigned busy = 0;
     for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
-      const auto free = status.free_vc_mask(
-                            req.node, static_cast<core::ChannelId>(c)) &
-                        vc_field;
+      const std::uint32_t free = free_row[c] & vc_field;
       busy += status.num_vcs() - static_cast<unsigned>(std::popcount(free));
     }
     return busy < cap_;
   }
+
+  // allow() never looks at req.route, so the simulator may skip
+  // routing the message at its source.
+  bool reads_route() const noexcept override { return false; }
 
   // The enum has no slot for external mechanisms; report the closest
   // family. Downstream code only uses this for labels.

@@ -29,15 +29,11 @@ int main(int argc, char** argv) {
     harness::apply_common_flags(base, args);
     harness::apply_scale_env(base);
 
-    const auto points = static_cast<unsigned>(args.get_uint("loads", 8));
-    const double min_load = args.get_double("min-load", 0.1);
-    const double max_load = args.get_double("max-load", 1.2);
-
     harness::SweepSpec spec;
     spec.base = base;
     spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO,
                      core::LimiterKind::LF, core::LimiterKind::DRIL};
-    spec.offered_loads = harness::load_range(min_load, max_load, points);
+    spec.offered_loads = harness::load_range_flags(args, 0.1, 1.2, 8);
     spec.jobs = harness::jobs_flag(args);
     metrics::SweepStats stats;
     spec.stats = &stats;

@@ -65,7 +65,7 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   // Above kMaxEntries the LUT silently degrades to passthrough (no
   // allocation), and validate() rejects fault schedules there.
   const bool active = cfg.sim.core == sim::SimCore::Active;
-  if ((active && cfg.sim.fastpath.routing_lut) || !cfg.sim.faults.empty()) {
+  if (active || !cfg.sim.faults.empty()) {
     if (nodes * nodes <= routing::RoutingLut::kMaxEntries) {
       f.lut_bytes = nodes * nodes * 4;
     }
@@ -78,7 +78,7 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   f.status_bytes = net_links * (sizeof(std::uint8_t) * 2 +
                                 sizeof(std::uint64_t)) +
                    slots * sizeof(topo::NodeId);
-  if (active && cfg.sim.fastpath.route_memo) {
+  if (active) {
     f.status_bytes += slots * sim::Simulator::route_memo_entry_bytes();
   }
   // Active-set bitmaps: tenant + arrival over net links; eject, inject

@@ -57,10 +57,10 @@ std::uint64_t AloGateCircuit::pack_busy_bits(const ChannelStatus& status,
                                              NodeId node) {
   const unsigned vcs = status.num_vcs();
   const std::uint64_t vc_field = (1ULL << vcs) - 1;
+  const std::uint8_t* row = status.free_row(node);
   std::uint64_t bits = 0;
   for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
-    const std::uint64_t free =
-        status.free_vc_mask(node, static_cast<ChannelId>(c));
+    const std::uint64_t free = row[c];
     bits |= ((~free) & vc_field) << (c * vcs);
   }
   return bits;

@@ -56,7 +56,7 @@ class AloGateCircuit {
   unsigned num_channels() const noexcept { return channels_; }
   unsigned num_vcs() const noexcept { return vcs_; }
 
-  /// Pack a ChannelStatus row into the busy-bits format.
+  /// Pack one node's ChannelStatus free-VC row into the busy-bits format.
   static std::uint64_t pack_busy_bits(const ChannelStatus& status,
                                       NodeId node);
 

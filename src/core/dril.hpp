@@ -29,28 +29,19 @@ class DrilLimiter final : public InjectionLimiter {
 
   bool allow(const InjectionRequest& req, const ChannelStatus& status) override;
   void reset() override;
+  bool reads_route() const noexcept override { return false; }
   LimiterKind kind() const noexcept override { return LimiterKind::DRIL; }
 
   /// Introspection for tests and the fairness study.
   bool frozen(NodeId node) const { return state_[node].frozen; }
   unsigned threshold(NodeId node) const { return state_[node].threshold; }
 
-  /// Busy count over ALL output VCs of the node (DRIL monitors total
-  /// occupancy, not just useful channels).
-  static unsigned busy_total(const ChannelStatus& status, NodeId node);
-  /// Row-based twin of busy_total for the devirtualized cycle loop.
-  static unsigned busy_total_row(const std::uint8_t* free_row,
-                                 unsigned num_phys, unsigned num_vcs);
-
-  /// Bit-identical to allow() but fed from a contiguous free-mask row.
-  /// Does not read req.route — DRIL monitors total occupancy only.
-  bool allow_row(const InjectionRequest& req, const std::uint8_t* free_row,
-                 unsigned num_phys, unsigned num_vcs);
+  /// Busy count over ALL output VCs of one node's free-VC row (DRIL
+  /// monitors total occupancy, not just useful channels).
+  static unsigned busy_total(const std::uint8_t* free_row, unsigned num_phys,
+                             unsigned num_vcs);
 
  private:
-  bool allow_with_busy(const InjectionRequest& req, unsigned busy,
-                       unsigned total_vcs);
-
   struct NodeState {
     bool frozen = false;
     unsigned threshold = 0;

@@ -37,15 +37,20 @@ LimiterKind parse_limiter(std::string_view name);
 std::string_view limiter_name(LimiterKind kind);
 
 /// Read-only view of the virtual-output-channel status register of one
-/// node, implemented by the simulator's Network. Bit v of
-/// free_vc_mask(node, c) is set iff VC v of physical output channel c is
-/// not allocated to any message.
+/// node, implemented by the simulator's Network. free_row(node) points
+/// at num_phys_channels() contiguous bytes; bit v of free_row(node)[c]
+/// is set iff VC v of physical output channel c is not allocated to any
+/// message. Every shipped limiter evaluates its rule on that row.
 class ChannelStatus {
  public:
   virtual ~ChannelStatus() = default;
   virtual unsigned num_phys_channels() const = 0;
   virtual unsigned num_vcs() const = 0;
-  virtual std::uint32_t free_vc_mask(NodeId node, ChannelId c) const = 0;
+  virtual const std::uint8_t* free_row(NodeId node) const = 0;
+
+  std::uint32_t free_vc_mask(NodeId node, ChannelId c) const {
+    return free_row(node)[c];
+  }
 };
 
 /// Everything a limiter may inspect when deciding on one injection.
@@ -78,19 +83,12 @@ class InjectionLimiter {
   /// Reset all dynamic state (e.g. between sweep points).
   virtual void reset() {}
 
-  virtual LimiterKind kind() const noexcept = 0;
-};
+  /// Whether allow() reads req.route. The simulator resolves this once
+  /// per installed limiter and skips the source-node routing step for
+  /// limiters that return false (req.route is then null).
+  virtual bool reads_route() const noexcept { return true; }
 
-/// The "no restriction" baseline. Public (not factory-internal) so the
-/// simulator's dispatch resolution can recognize it by type — kind()
-/// cannot discriminate shipped limiters from user subclasses that reuse
-/// a LimiterKind tag (see examples/custom_limiter.cpp).
-class NoLimiter final : public InjectionLimiter {
- public:
-  bool allow(const InjectionRequest&, const ChannelStatus&) override {
-    return true;
-  }
-  LimiterKind kind() const noexcept override { return LimiterKind::None; }
+  virtual LimiterKind kind() const noexcept = 0;
 };
 
 struct LimiterConfig {

@@ -13,50 +13,27 @@ LinearFunctionLimiter::LinearFunctionLimiter(double alpha) : alpha_(alpha) {
 }
 
 LinearFunctionLimiter::Counts LinearFunctionLimiter::count_useful(
-    const ChannelStatus& status, NodeId node,
-    const routing::RouteResult& route) {
-  Counts counts;
-  const unsigned vcs = status.num_vcs();
-  const std::uint32_t vc_field = (1u << vcs) - 1u;
-  for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
-    if (!(route.useful_phys_mask & (1u << c))) continue;
-    const std::uint32_t free =
-        status.free_vc_mask(node, static_cast<ChannelId>(c)) & vc_field;
-    counts.total += vcs;
-    counts.busy += vcs - static_cast<unsigned>(std::popcount(free));
-  }
-  return counts;
-}
-
-LinearFunctionLimiter::Counts LinearFunctionLimiter::count_useful_row(
     const std::uint8_t* free_row, unsigned num_vcs,
     std::uint32_t useful_phys_mask) {
   Counts counts;
+  const std::uint32_t vc_field = (1u << num_vcs) - 1u;
   for (std::uint32_t m = useful_phys_mask; m != 0; m &= m - 1) {
-    const std::uint32_t free = free_row[std::countr_zero(m)];
+    const std::uint32_t free = free_row[std::countr_zero(m)] & vc_field;
     counts.total += num_vcs;
     counts.busy += num_vcs - static_cast<unsigned>(std::popcount(free));
   }
   return counts;
 }
 
-bool LinearFunctionLimiter::decide(const Counts& counts) const {
+bool LinearFunctionLimiter::allow(const InjectionRequest& req,
+                                  const ChannelStatus& status) {
+  const Counts counts = count_useful(status.free_row(req.node),
+                                     status.num_vcs(),
+                                     req.route->useful_phys_mask);
   if (counts.total == 0) return true;  // no useful channels: vacuous
   const auto threshold =
       static_cast<unsigned>(std::floor(alpha_ * counts.total));
   return counts.busy <= threshold;
-}
-
-bool LinearFunctionLimiter::allow(const InjectionRequest& req,
-                                  const ChannelStatus& status) {
-  return decide(count_useful(status, req.node, *req.route));
-}
-
-bool LinearFunctionLimiter::allow_row(const InjectionRequest& req,
-                                      const std::uint8_t* free_row,
-                                      unsigned num_vcs) const {
-  return decide(
-      count_useful_row(free_row, num_vcs, req.route->useful_phys_mask));
 }
 
 }  // namespace wormsim::core

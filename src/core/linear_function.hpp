@@ -27,26 +27,16 @@ class LinearFunctionLimiter final : public InjectionLimiter {
 
   double alpha() const noexcept { return alpha_; }
 
-  /// Busy/total useful VC counts for one request; shared with tests.
+  /// Busy/total useful VC counts on one node's free-VC row; shared
+  /// with tests.
   struct Counts {
     unsigned busy = 0;
     unsigned total = 0;
   };
-  static Counts count_useful(const ChannelStatus& status, NodeId node,
-                             const routing::RouteResult& route);
-  /// Row-based twin of count_useful for the devirtualized cycle loop;
-  /// `free_row[c]` = free-VC mask of physical channel c of the node.
-  static Counts count_useful_row(const std::uint8_t* free_row,
-                                 unsigned num_vcs,
-                                 std::uint32_t useful_phys_mask);
-
-  /// Bit-identical to allow() but fed from a contiguous free-mask row.
-  bool allow_row(const InjectionRequest& req, const std::uint8_t* free_row,
-                 unsigned num_vcs) const;
+  static Counts count_useful(const std::uint8_t* free_row, unsigned num_vcs,
+                             std::uint32_t useful_phys_mask);
 
  private:
-  bool decide(const Counts& counts) const;
-
   double alpha_;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -299,6 +300,22 @@ std::vector<double> load_range(double lo, double hi, unsigned points) {
   return out;
 }
 
+std::vector<double> load_range_flags(const util::ArgParser& args,
+                                     double min_load, double max_load,
+                                     unsigned loads) {
+  const double lo = args.get_double("min-load", min_load);
+  const double hi = args.get_double("max-load", max_load);
+  const std::uint64_t points = args.get_uint("loads", loads);
+  if (points == 0) reject_flag("loads", "must be at least 1");
+  if (points > std::numeric_limits<unsigned>::max()) {
+    reject_flag("loads", "is too large");
+  }
+  if (!(lo >= 0.0)) reject_flag("min-load", "must be a load >= 0");
+  if (!(hi >= 0.0)) reject_flag("max-load", "must be a load >= 0");
+  if (lo > hi) reject_flag("min-load", "must not exceed --max-load");
+  return load_range(lo, hi, static_cast<unsigned>(points));
+}
+
 void apply_common_flags(config::SimConfig& cfg, const util::ArgParser& args) {
   cfg.k = static_cast<unsigned>(args.get_uint("k", cfg.k));
   cfg.n = static_cast<unsigned>(args.get_uint("n", cfg.n));
@@ -356,6 +373,13 @@ void reject_unknown_flags(const util::ArgParser& args) {
   for (const std::string& key : unknown) keys += " --" + key;
   obs::logf(obs::LogLevel::Error, "error: unknown flag(s):%s\n",
             keys.c_str());
+  std::exit(2);
+}
+
+void reject_flag(std::string_view flag, std::string_view why) {
+  obs::logf(obs::LogLevel::Error, "error: --%.*s %.*s\n",
+            static_cast<int>(flag.size()), flag.data(),
+            static_cast<int>(why.size()), why.data());
   std::exit(2);
 }
 

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "config/presets.hpp"
@@ -111,6 +112,14 @@ void write_replicated_csv(std::ostream& out,
 /// Evenly spaced loads in [lo, hi].
 std::vector<double> load_range(double lo, double hi, unsigned points);
 
+/// load_range over the --min-load/--max-load/--loads flags (the given
+/// defaults apply to absent flags), validated at the CLI edge: at least
+/// one point, non-negative bounds, --min-load <= --max-load. A
+/// violation is rejected through reject_flag.
+std::vector<double> load_range_flags(const util::ArgParser& args,
+                                     double min_load, double max_load,
+                                     unsigned loads);
+
 /// Apply command-line overrides (--k, --n, --vcs, --msg-len, --pattern,
 /// --warmup, --measure, --seed, ...) and the WORMSIM_FAST environment
 /// switch to a base config. Used by every bench binary so they share
@@ -136,6 +145,10 @@ unsigned jobs_flag(const util::ArgParser& args);
 /// flags have been read, so a typo (`--shardz 4`) fails before any
 /// simulation runs instead of being silently ignored.
 void reject_unknown_flags(const util::ArgParser& args);
+
+/// Exit with status 2 after "error: --<flag> <why>" on stderr: the
+/// shared rejection path for a flag whose value is out of range.
+[[noreturn]] void reject_flag(std::string_view flag, std::string_view why);
 
 /// Human banner describing a config (topology, router, workload).
 std::string describe(const config::SimConfig& cfg);

@@ -343,6 +343,9 @@ ObsSession::ObsSession(const util::ArgParser& args)
       spatial_load_(args.get_double("spatial-load", 1.2)),
       online_window_(args.get_uint("online-window", 256)),
       profile_period_(0) {
+  if (online_window_ == 0) {
+    reject_flag("online-window", "must be at least 1 cycle");
+  }
   if (args.has("profile")) {
     // Bare "--profile" parses as the string "true": default period 64.
     const std::string v = args.get_string("profile", "true");

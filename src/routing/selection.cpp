@@ -35,26 +35,10 @@ std::uint8_t lowest_vc(std::uint32_t mask) {
   return static_cast<std::uint8_t>(std::countr_zero(mask));
 }
 
-// The two availability sources — the virtual FreeVcView and the
-// contiguous SoA row — feed one selection template so the policies
-// cannot drift apart.
-struct VirtView {
-  const FreeVcView* view;
-  std::uint32_t free_vc_mask(topo::ChannelId c) const {
-    return view->free_vc_mask(c);
-  }
-};
-
-struct RowView {
-  const std::uint8_t* row;
-  std::uint32_t free_vc_mask(topo::ChannelId c) const { return row[c]; }
-};
-
 /// Scan candidates in [begin, end) with the given policy; all candidates
 /// in the range have the same escape flag.
-template <typename View>
 std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
-                                 std::size_t end, View view,
+                                 std::size_t end, const std::uint8_t* free_row,
                                  SelectionPolicy policy,
                                  std::uint32_t rr_state) {
   const std::size_t count = end - begin;
@@ -64,7 +48,7 @@ std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
     case SelectionPolicy::FirstFit: {
       for (std::size_t i = begin; i < end; ++i) {
         const Candidate& c = route.candidates[i];
-        const std::uint32_t usable = view.free_vc_mask(c.channel) & c.vc_mask;
+        const std::uint32_t usable = free_row[c.channel] & c.vc_mask;
         if (usable) return Pick{c.channel, lowest_vc(usable), c.escape};
       }
       return std::nullopt;
@@ -73,7 +57,7 @@ std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
       for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = begin + (j + rr_state) % count;
         const Candidate& c = route.candidates[i];
-        const std::uint32_t usable = view.free_vc_mask(c.channel) & c.vc_mask;
+        const std::uint32_t usable = free_row[c.channel] & c.vc_mask;
         if (usable) return Pick{c.channel, lowest_vc(usable), c.escape};
       }
       return std::nullopt;
@@ -86,7 +70,7 @@ std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
         // of always favouring low channel indices.
         const std::size_t i = begin + (j + rr_state) % count;
         const Candidate& c = route.candidates[i];
-        const std::uint32_t usable = view.free_vc_mask(c.channel) & c.vc_mask;
+        const std::uint32_t usable = free_row[c.channel] & c.vc_mask;
         if (!usable) continue;
         const int free = std::popcount(usable);
         if (free > best_free) {
@@ -100,10 +84,11 @@ std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
   return std::nullopt;
 }
 
-template <typename View>
-std::optional<Pick> select_impl(const RouteResult& route, View view,
-                                SelectionPolicy policy,
-                                std::uint32_t rr_state) {
+}  // namespace
+
+std::optional<Pick> Selector::select(const RouteResult& route,
+                                     const std::uint8_t* free_row,
+                                     std::uint32_t rr_state) const {
   // Candidates are ordered adaptive-first by the routing functions; find
   // the adaptive/escape boundary.
   std::size_t escape_begin = route.candidates.size();
@@ -114,25 +99,11 @@ std::optional<Pick> select_impl(const RouteResult& route, View view,
     }
   }
   if (auto pick =
-          select_range(route, 0, escape_begin, view, policy, rr_state)) {
+          select_range(route, 0, escape_begin, free_row, policy_, rr_state)) {
     return pick;
   }
-  return select_range(route, escape_begin, route.candidates.size(), view,
-                      policy, rr_state);
-}
-
-}  // namespace
-
-std::optional<Pick> Selector::select(const RouteResult& route,
-                                     const FreeVcView& view,
-                                     std::uint32_t rr_state) const {
-  return select_impl(route, VirtView{&view}, policy_, rr_state);
-}
-
-std::optional<Pick> Selector::select(const RouteResult& route,
-                                     const std::uint8_t* free_row,
-                                     std::uint32_t rr_state) const {
-  return select_impl(route, RowView{free_row}, policy_, rr_state);
+  return select_range(route, escape_begin, route.candidates.size(), free_row,
+                      policy_, rr_state);
 }
 
 }  // namespace wormsim::routing

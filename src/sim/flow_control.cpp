@@ -24,6 +24,26 @@ std::string_view flow_control_name(FlowControl scheme) noexcept {
   return "unknown";
 }
 
+CreditChannelStatus::CreditChannelStatus(const Network& net,
+                                         const CreditFlowControl& credit)
+    : net_(&net), credit_(&credit), scratch_(net.num_phys_channels()) {}
+
+unsigned CreditChannelStatus::num_phys_channels() const {
+  return net_->num_phys_channels();
+}
+
+unsigned CreditChannelStatus::num_vcs() const { return net_->num_vcs(); }
+
+const std::uint8_t* CreditChannelStatus::free_row_into(
+    core::NodeId node, std::uint8_t* out) const {
+  const unsigned vcs = net_->num_vcs();
+  credit_->filter_free_row(
+      net_->free_mask_row(node),
+      static_cast<std::size_t>(net_->net_link(node, 0)) * vcs,
+      net_->num_phys_channels(), vcs, out);
+  return out;
+}
+
 namespace {
 
 bool fail(std::string* why, const std::string& msg) {

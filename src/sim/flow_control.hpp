@@ -6,7 +6,7 @@
 //   * Wormhole (default) — the paper's model: the sender tracks the
 //     receiver's buffer through an ideal zero-latency credit loop, so
 //     the gate is simply occupancy < capacity. Byte-identical to the
-//     pre-interface simulator under every core / fast-path combination.
+//     pre-interface simulator in both cores.
 //   * Credit — explicit credit-based backpressure (the Graphite
 //     buffer-management-message model): the sender holds one credit per
 //     downstream buffer slot, consumes one per flit sent, and gets it
@@ -21,11 +21,10 @@
 //     Requires buf_flits >= the longest message (config::validate
 //     enforces this for harness runs).
 //
-// Dispatch mirrors the limiter fast path (see DESIGN.md): the Simulator
-// resolves the scheme once at construction. The dense core always runs
-// the virtual interface; the active core short-circuits Wormhole/Vct to
-// the inline occupancy test and calls Credit non-virtually, keeping the
-// hot path free of per-flit virtual calls.
+// The scheme object is the Simulator's only flow-control extension
+// point: each gate and hook is one virtual call, made only when the
+// scheme's capability bits (tracks_flits, veto_sends, gates_admission,
+// resolved once at construction) say it can matter.
 #pragma once
 
 #include <cstdint>
@@ -242,37 +241,28 @@ class VctFlowControl final : public FlowControlScheme {
   }
 };
 
-/// Per-node ChannelStatus view that a Credit scheme substitutes for the
-/// raw Network register: VCs with outstanding credits read as busy.
+/// ChannelStatus that a Credit scheme substitutes for the raw Network
+/// register: VCs with outstanding credits read as busy.
 class CreditChannelStatus final : public core::ChannelStatus {
  public:
-  CreditChannelStatus() = default;
-  void bind(const core::ChannelStatus& base,
-            const CreditFlowControl& credit) noexcept {
-    base_ = &base;
-    credit_ = &credit;
+  CreditChannelStatus(const Network& net, const CreditFlowControl& credit);
+
+  unsigned num_phys_channels() const override;
+  unsigned num_vcs() const override;
+  /// The filtered row, built in an internal scratch buffer that the
+  /// next call overwrites.
+  const std::uint8_t* free_row(core::NodeId node) const override {
+    return free_row_into(node, scratch_.data());
   }
-  unsigned num_phys_channels() const override {
-    return base_->num_phys_channels();
-  }
-  unsigned num_vcs() const override { return base_->num_vcs(); }
-  std::uint32_t free_vc_mask(core::NodeId node,
-                             core::ChannelId c) const override {
-    std::uint32_t m = base_->free_vc_mask(node, c);
-    const unsigned vcs = base_->num_vcs();
-    const std::size_t base =
-        (static_cast<std::size_t>(node) * base_->num_phys_channels() +
-         static_cast<std::size_t>(c)) *
-        vcs;
-    for (unsigned v = 0; v < vcs; ++v) {
-      if (credit_->in_use(base + v) != 0) m &= ~(1u << v);
-    }
-    return m;
-  }
+  /// free_row writing into a caller-supplied buffer of
+  /// num_phys_channels() bytes (the reentrant form).
+  const std::uint8_t* free_row_into(core::NodeId node,
+                                    std::uint8_t* out) const;
 
  private:
-  const core::ChannelStatus* base_ = nullptr;
-  const CreditFlowControl* credit_ = nullptr;
+  const Network* net_;
+  const CreditFlowControl* credit_;
+  mutable std::vector<std::uint8_t> scratch_;
 };
 
 std::unique_ptr<FlowControlScheme> make_flow_control(

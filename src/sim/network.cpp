@@ -51,13 +51,6 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
   }
 }
 
-std::uint32_t Network::free_vc_mask(NodeId node, ChannelId c) const {
-  // A VC is free iff unallocated; tenancy implies the active bit. The
-  // SoA mirror is kept equal to ~active_vc_mask & vc_field by
-  // set_active, the sole writer of active_vc_mask.
-  return free_mask_[net_link(node, c)];
-}
-
 int Network::find_free_eject_port(NodeId node) const noexcept {
   for (unsigned p = 0; p < params_.eje_channels; ++p) {
     if (!eject_port(node, p).busy()) return static_cast<int>(p);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/limiter.hpp"
-#include "routing/selection.hpp"
 #include "sim/channel.hpp"
 #include "sim/types.hpp"
 #include "topology/kary_ncube.hpp"
@@ -74,12 +73,15 @@ class Network final : public core::ChannelStatus {
   // core::ChannelStatus: the per-node virtual output channel register.
   unsigned num_phys_channels() const override { return topo_->num_channels(); }
   unsigned num_vcs() const override { return params_.num_vcs; }
-  std::uint32_t free_vc_mask(NodeId node, ChannelId c) const override;
+  const std::uint8_t* free_row(NodeId node) const override {
+    return free_mask_row(node);
+  }
 
   /// SoA view of the free-VC masks: one byte per network link, rows of
-  /// num_phys_channels() bytes per node (net_link layout). free_row[c]
-  /// == free_vc_mask(node, c). Lets the cycle loop evaluate selection
-  /// and the ALO/LF/DRIL rules without virtual ChannelStatus reads.
+  /// num_phys_channels() bytes per node (net_link layout). A VC is free
+  /// iff unallocated; the mirror is kept equal to ~active_vc_mask &
+  /// vc_field by set_active, the sole writer of active_vc_mask. The
+  /// non-virtual form of free_row() for the cycle loop.
   const std::uint8_t* free_mask_row(NodeId node) const noexcept {
     return free_mask_.data() +
            static_cast<std::size_t>(node) * topo_->num_channels();
@@ -312,21 +314,6 @@ class Network final : public core::ChannelStatus {
 
   util::ActiveSet tenant_links_;   // net links with active_vc_mask != 0
   util::ActiveSet arrival_links_;  // net links with non-empty in_flight
-};
-
-/// Adapter giving the routing Selector a per-node view of free output
-/// VCs (stack-allocated in the allocation loop).
-class NodeFreeVcView final : public routing::FreeVcView {
- public:
-  NodeFreeVcView(const Network& net, NodeId node) noexcept
-      : net_(&net), node_(node) {}
-  std::uint32_t free_vc_mask(ChannelId channel) const override {
-    return net_->free_vc_mask(node_, channel);
-  }
-
- private:
-  const Network* net_;
-  NodeId node_;
 };
 
 }  // namespace wormsim::sim

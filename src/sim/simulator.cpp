@@ -9,8 +9,6 @@
 #include <string>
 
 #include "core/alo.hpp"
-#include "core/dril.hpp"
-#include "core/linear_function.hpp"
 
 namespace wormsim::sim {
 
@@ -55,11 +53,12 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
   if (cfg.routing_delay < 1 || cfg.routing_delay > 8) {
     throw std::invalid_argument("routing_delay must be in [1, 8]");
   }
-  // Fast paths are an active-core property: the dense core stays the
-  // reference virtual-dispatch implementation so that the byte-identity
-  // tests double as a differential check of these optimizations.
+  // The routing LUT and the route memo are active-core properties: the
+  // dense core routes through the virtual function and re-evaluates
+  // every blocked header, so the byte-identity tests double as a
+  // differential check of both.
   const bool active = cfg_.core == SimCore::Active;
-  if (active && cfg_.fastpath.routing_lut) {
+  if (active) {
     lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
   }
   if (!cfg_.faults.empty()) {
@@ -84,27 +83,27 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
     }
     faults_ = std::make_unique<fault::FaultManager>(topo_, cfg_.faults);
   }
-  memo_on_ = active && cfg_.fastpath.route_memo;
+  memo_on_ = active;
   if (memo_on_) {
     route_memo_.resize(net_.num_vc_slots());
     route_memo_route_.resize(net_.num_vc_slots());
   }
-  static_dispatch_on_ = active && cfg_.fastpath.static_dispatch;
-  resolve_limiter_dispatch();
-  // Flow-control scheme, resolved once like the limiter dispatch above.
-  // The dense core stays on the virtual interface so core equivalence
-  // doubles as a differential test of the fast dispatch.
+  limiter_reads_route_ = limiter_->reads_route();
+  // Flow-control scheme and its capability bits, resolved once: the
+  // cycle loop consults the scheme object only where a bit says it can
+  // change the outcome.
   flow_ = make_flow_control(cfg_.flow, net_.num_vc_slots());
-  fc_kind_ = flow_->kind();
-  credit_ = fc_kind_ == FlowControl::Credit
-                ? static_cast<CreditFlowControl*>(flow_.get())
-                : nullptr;
-  fc_virtual_ = !(active && cfg_.fastpath.fc_dispatch);
   fc_tracks_ = flow_->tracks_flits();
   fc_vetoes_ = flow_->veto_sends();
   fc_admits_ = flow_->gates_admission();
-  if (credit_) credit_status_.bind(net_, *credit_);
-  fc_row_buf_.resize(topo_.num_channels());
+  if (flow_->kind() == FlowControl::Credit) {
+    credit_status_ = std::make_unique<CreditChannelStatus>(
+        net_, static_cast<const CreditFlowControl&>(*flow_));
+  }
+  limiter_status_ = credit_status_
+                        ? static_cast<const core::ChannelStatus*>(
+                              credit_status_.get())
+                        : &net_;
   // Per-slot owning router node (the link's dst): a contiguous 4-byte
   // lookup in phase_route instead of a Link record load.
   vc_node_.resize(net_.num_vc_slots());
@@ -162,21 +161,6 @@ std::size_t Simulator::route_memo_entry_bytes() noexcept {
   return sizeof(RouteMemo) + sizeof(routing::RouteResult);
 }
 
-void Simulator::resolve_limiter_dispatch() {
-  core::InjectionLimiter* l = limiter_.get();
-  if (dynamic_cast<core::NoLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::None;
-  } else if (dynamic_cast<core::AloLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::Alo;
-  } else if (dynamic_cast<core::LinearFunctionLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::Lf;
-  } else if (dynamic_cast<core::DrilLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::Dril;
-  } else {
-    limiter_fast_ = LimiterFast::Virtual;  // user-supplied mechanism
-  }
-}
-
 void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
                                Cycle t) {
   if (faults_ && !deliverable(node, dst)) {
@@ -216,13 +200,7 @@ void Simulator::step() {
   scan_.scan_total +=
       2 * static_cast<std::uint64_t>(net_.num_net_links()) +
       3 * static_cast<std::uint64_t>(topo_.num_nodes());
-  if (fc_tracks_) {
-    if (fc_virtual_) {
-      flow_->begin_cycle(t);
-    } else if (credit_) {
-      credit_->begin_cycle(t);
-    }
-  }
+  if (fc_tracks_) flow_->begin_cycle(t);
   if (online_ && online_->profile_due(t)) {
     run_phases_profiled(t);
   } else if (use_sharded_step()) {
@@ -842,13 +820,8 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   }
   if (probe_enabled_ && !v.probed) {
     v.probed = true;
-    const auto cond =
-        static_dispatch_on_
-            ? core::evaluate_alo_row(fc_status_row(node),
-                                     net_.params().num_vcs,
-                                     route->useful_phys_mask)
-            : core::evaluate_alo(fc_channel_status(), node,
-                                 route->useful_phys_mask);
+    const auto cond = core::evaluate_alo(
+        fc_status_row(node), net_.params().num_vcs, route->useful_phys_mask);
     collector_.on_probe(t, cond.all_useful_partially_free,
                         cond.any_useful_completely_free);
     if (tracer_) {
@@ -864,13 +837,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   // selection (and the memo's still-blocked proof stays exact: the
   // admission verdict is a constant of the tenancy).
   if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
-    if (static_dispatch_on_) {
-      pick = selector_.select(*route, net_.free_mask_row(node),
-                              alloc_rr_[node]);
-    } else {
-      const NodeFreeVcView view(net_, node);
-      pick = selector_.select(*route, view, alloc_rr_[node]);
-    }
+    pick = selector_.select(*route, net_.free_mask_row(node), alloc_rr_[node]);
   }
   if (!pick) {
     if (memo != nullptr) {
@@ -1037,24 +1004,14 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
   if (probe_enabled_ && !v.probed) {
     d.probe = true;
     const auto cond =
-        static_dispatch_on_
-            ? core::evaluate_alo_row(
-                  fc_status_row_into(node, lane.fc_row.data()),
-                  net_.params().num_vcs, route->useful_phys_mask)
-            : core::evaluate_alo(fc_channel_status(), node,
-                                 route->useful_phys_mask);
+        core::evaluate_alo(fc_status_row_into(node, lane.fc_row.data()),
+                           net_.params().num_vcs, route->useful_phys_mask);
     d.probe_a = cond.all_useful_partially_free;
     d.probe_b = cond.any_useful_completely_free;
   }
   std::optional<routing::Pick> pick;
   if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
-    if (static_dispatch_on_) {
-      pick = selector_.select(*route, net_.free_mask_row(node),
-                              alloc_rr_[node]);
-    } else {
-      const NodeFreeVcView view(net_, node);
-      pick = selector_.select(*route, view, alloc_rr_[node]);
-    }
+    pick = selector_.select(*route, net_.free_mask_row(node), alloc_rr_[node]);
   }
   if (!pick) {
     d.kind = RouteDecKind::Blocked;
@@ -1480,44 +1437,17 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     req.node = node;
     req.dst = pm.dst;
     req.length_flits = pm.length;
-    req.route = &route_buf_;
     req.cycle = t;
     req.head_wait = t - head_since_[node];
     req.queue_len = queues_[node].size();
-    // Gate decision. With static dispatch the limiter resolved to its
-    // concrete type once per simulator: None and DRIL never read the
-    // route, so the routing step is skipped entirely; ALO and LF route
-    // through the LUT and evaluate on the contiguous free-mask row.
-    // Custom limiters (LimiterFast::Virtual) take the interface path.
-    bool allowed;
-    if (static_dispatch_on_ && limiter_fast_ != LimiterFast::Virtual) {
-      const std::uint8_t* row = fc_status_row(node);
-      const unsigned vcs = net_.params().num_vcs;
-      switch (limiter_fast_) {
-        case LimiterFast::None:
-          allowed = true;
-          break;
-        case LimiterFast::Alo:
-          route_at(node, pm.dst, route_buf_);
-          allowed = core::evaluate_alo_routed_row(row, vcs, route_buf_).allow();
-          break;
-        case LimiterFast::Lf:
-          route_at(node, pm.dst, route_buf_);
-          allowed = static_cast<core::LinearFunctionLimiter*>(limiter_.get())
-                        ->allow_row(req, row, vcs);
-          break;
-        case LimiterFast::Dril:
-          allowed = static_cast<core::DrilLimiter*>(limiter_.get())
-                        ->allow_row(req, row, topo_.num_channels(), vcs);
-          break;
-        case LimiterFast::Virtual:
-          allowed = false;  // unreachable: guarded above
-          break;
-      }
-    } else {
+    // Gate decision. Limiters that never read the route (None, DRIL)
+    // skip the routing step; the rest route through route_at (the LUT
+    // in the active core).
+    if (limiter_reads_route_) {
       route_at(node, pm.dst, route_buf_);
-      allowed = limiter_->allow(req, fc_channel_status());
+      req.route = &route_buf_;
     }
+    const bool allowed = limiter_->allow(req, *limiter_status_);
     if (!allowed) {
       if (tracer_) {
         tracer_->record(t, obs::EventKind::GateBlock, node,

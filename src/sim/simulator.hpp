@@ -68,31 +68,6 @@ enum class SimCore : std::uint8_t { Dense, Active };
 SimCore parse_sim_core(std::string_view name);
 std::string_view sim_core_name(SimCore core) noexcept;
 
-/// Saturated-regime fast-path toggles. They apply to the Active core
-/// only — the Dense core always runs the reference virtual-dispatch
-/// path, which is what makes test_core_equivalence a differential test
-/// of the optimizations. Results are bit-identical for every toggle
-/// combination; the switches exist for that test and for perf triage.
-struct FastPathConfig {
-  /// Tabulate the routing function per (node, dst) at construction and
-  /// answer cycle-loop route queries from the table.
-  bool routing_lut = true;
-  /// Blocked headers cache their candidate list and skip both re-route
-  /// and re-selection until the free-VC mask of some candidate link
-  /// changes (per-link epoch counters).
-  bool route_memo = true;
-  /// Resolve the injection-limiter and selection dispatch once per
-  /// simulator instead of per virtual call inside the cycle loop.
-  /// Custom limiters installed via set_limiter() fall back to the
-  /// virtual path automatically.
-  bool static_dispatch = true;
-  /// Resolve the flow-control scheme dispatch once per simulator:
-  /// Wormhole/VCT short-circuit to the inline occupancy test and Credit
-  /// is called non-virtually. Off = every gate and hook goes through
-  /// the FlowControlScheme interface (the dense core's reference path).
-  bool fc_dispatch = true;
-};
-
 struct SimulatorConfig {
   NetworkParams net{};
   routing::Algorithm algorithm = routing::Algorithm::TFAR;
@@ -109,8 +84,11 @@ struct SimulatorConfig {
   /// Flow-control scheme gating flit advance and VC admission
   /// (default: the paper's wormhole model).
   FlowControlConfig flow{};
+  /// The active core always answers route queries from the routing LUT
+  /// (when the network is tabulable) and caches blocked headers in the
+  /// route memo; the dense core uses neither, which is what makes
+  /// test_core_equivalence a differential test of both.
   SimCore core = SimCore::Active;
-  FastPathConfig fastpath{};
   /// Shard the single simulation across threads (active core only):
   /// the node/link bitmaps are partitioned into contiguous 64-bit-word
   /// ranges, one per shard. Generate/arrivals/eject run shard-parallel
@@ -239,7 +217,7 @@ class Simulator {
   void set_limiter(std::unique_ptr<core::InjectionLimiter> limiter) {
     if (!limiter) return;
     limiter_ = std::move(limiter);
-    resolve_limiter_dispatch();
+    limiter_reads_route_ = limiter_->reads_route();
   }
   traffic::Workload* workload() noexcept { return workload_.get(); }
   const metrics::Collector& collector() const noexcept { return collector_; }
@@ -510,64 +488,32 @@ class Simulator {
     return mask;
   }
 
-  /// Map the installed limiter to its enum-tagged fast-dispatch case
-  /// (by concrete type, not kind() — user subclasses may reuse a kind
-  /// tag) and recompute which fast paths are enabled.
-  void resolve_limiter_dispatch();
-
-  // --- Flow-control gates and hooks (see flow_control.hpp). The
-  // fast-dispatch forms reduce to the pre-interface inline code for
-  // Wormhole/VCT and a non-virtual call for Credit; with fc_virtual_
-  // (dense core, or fc_dispatch off) everything goes through the
-  // interface — which is what makes the core-equivalence tests a
-  // differential check of this dispatch layer too.
+  // --- Flow-control gates and hooks (see flow_control.hpp). Each is one
+  // call into the scheme object, skipped outright when the capability
+  // bit resolved at construction says the scheme cannot matter.
 
   /// May one more flit advance toward VC slot `slot`? The caller has
   /// already checked occupancy < cap, so schemes whose gate is exactly
-  /// that test (veto_sends() false, resolved once into fc_vetoes_) are
-  /// never consulted — in either dispatch mode.
+  /// that test (veto_sends() false) are never consulted.
   bool fc_may_send(std::size_t slot, std::uint8_t occupancy,
                    unsigned cap) const {
-    if (!fc_vetoes_) return true;
-    if (fc_virtual_) return flow_->may_send(slot, occupancy, cap);
-    if (credit_) return credit_->may_send(slot, occupancy, cap);
-    return occupancy < cap;
+    return !fc_vetoes_ || flow_->may_send(slot, occupancy, cap);
   }
   /// May a header claim a free downstream VC for this packet? Schemes
-  /// that admit unconditionally (gates_admission() false, resolved
-  /// once into fc_admits_) skip the per-claim call entirely.
+  /// that admit unconditionally (gates_admission() false) skip the call.
   bool fc_admit(std::uint32_t msg_length, unsigned cap) const {
-    if (!fc_admits_) return true;
-    if (fc_virtual_) return flow_->admit(msg_length, cap);
-    return fc_kind_ != FlowControl::Vct || msg_length <= cap;
+    return !fc_admits_ || flow_->admit(msg_length, cap);
   }
-  // The per-flit event hooks are gated on fc_tracks_ (resolved once
-  // from FlowControlScheme::tracks_flits): stateless schemes never pay
-  // a virtual call per flit, in either dispatch mode. Only the
-  // send/admit *decisions* stay virtual under fc_virtual_.
+  // The per-flit event hooks are gated on fc_tracks_: stateless schemes
+  // never pay a virtual call per flit.
   void fc_on_sent(std::size_t slot, Cycle t) {
-    if (!fc_tracks_) return;
-    if (fc_virtual_) {
-      flow_->on_flit_sent(slot, t);
-    } else if (credit_) {
-      credit_->on_flit_sent(slot, t);
-    }
+    if (fc_tracks_) flow_->on_flit_sent(slot, t);
   }
   void fc_on_drained(std::size_t slot, Cycle t) {
-    if (!fc_tracks_) return;
-    if (fc_virtual_) {
-      flow_->on_flit_drained(slot, t);
-    } else if (credit_) {
-      credit_->on_flit_drained(slot, t);
-    }
+    if (fc_tracks_) flow_->on_flit_drained(slot, t);
   }
   void fc_on_reset(std::size_t slot) {
-    if (!fc_tracks_) return;
-    if (fc_virtual_) {
-      flow_->on_slot_reset(slot);
-    } else if (credit_) {
-      credit_->on_slot_reset(slot);
-    }
+    if (fc_tracks_) flow_->on_slot_reset(slot);
   }
   /// Free-mask row the injection limiters and the Figure-2 probe read:
   /// the raw Network register, except under Credit where VCs with
@@ -575,28 +521,18 @@ class Simulator {
   /// free once its credits came home). Selection does NOT use this —
   /// claimability is a tenancy property in every scheme, which is what
   /// keeps the route memo's epoch keys exact.
-  const std::uint8_t* fc_status_row(NodeId node) {
-    return fc_status_row_into(node, fc_row_buf_.data());
+  const std::uint8_t* fc_status_row(NodeId node) const {
+    return credit_status_ ? credit_status_->free_row(node)
+                          : net_.free_mask_row(node);
   }
   /// fc_status_row writing into a caller-supplied scratch buffer of
   /// num_channels bytes — the reentrant form the shard-parallel
-  /// evaluate pass uses with its per-lane scratch (the shared
-  /// fc_row_buf_ would race across shards).
+  /// evaluate pass uses with its per-lane scratch (the status object's
+  /// own scratch would race across shards).
   const std::uint8_t* fc_status_row_into(NodeId node,
                                          std::uint8_t* buf) const {
-    if (!credit_) return net_.free_mask_row(node);
-    const unsigned chans = topo_.num_channels();
-    const unsigned vcs = net_.params().num_vcs;
-    credit_->filter_free_row(
-        net_.free_mask_row(node),
-        static_cast<std::size_t>(net_.net_link(node, 0)) * vcs, chans, vcs,
-        buf);
-    return buf;
-  }
-  /// ChannelStatus the virtual limiter path reads (same filtering).
-  const core::ChannelStatus& fc_channel_status() const noexcept {
-    return credit_ ? static_cast<const core::ChannelStatus&>(credit_status_)
-                   : static_cast<const core::ChannelStatus&>(net_);
+    return credit_status_ ? credit_status_->free_row_into(node, buf)
+                          : net_.free_mask_row(node);
   }
 
   void enroll_for_routing(VcRef ref);
@@ -639,8 +575,8 @@ class Simulator {
   std::unique_ptr<routing::RoutingFunction> routing_;
   routing::Selector selector_;
   std::unique_ptr<core::InjectionLimiter> limiter_;
-  /// Tabulated routing (active core with fastpath.routing_lut; null
-  /// otherwise — route_at falls back to the virtual function). Always
+  /// Tabulated routing (active core; null in the dense core — route_at
+  /// then falls back to the virtual function). Always
   /// built, in either core, when a fault schedule is present:
   /// reconfiguration works by rebuilding this table, and both cores
   /// must route from the same one to stay bit-identical.
@@ -717,33 +653,27 @@ class Simulator {
     Cycle no_detect_before = 0;
   };
   static_assert(sizeof(RouteMemo) <= 32, "route-memo key outgrew 32 B");
-  std::vector<RouteMemo> route_memo_;  // empty when the memo is off
+  std::vector<RouteMemo> route_memo_;  // empty in the dense core
   /// Cached candidates of route_memo_[slot]'s `dst` (cold half).
   std::vector<routing::RouteResult> route_memo_route_;
   /// Router node owning each VC slot's output side (the link's dst),
   /// indexed like route_memo_ — replaces a Link load in phase_route.
   std::vector<NodeId> vc_node_;
 
-  /// Enum-tagged limiter dispatch for the cycle loop; Virtual = run the
-  /// InjectionLimiter interface (custom limiters, or dispatch off).
-  enum class LimiterFast : std::uint8_t { Virtual, None, Alo, Lf, Dril };
-  LimiterFast limiter_fast_ = LimiterFast::Virtual;
-  bool memo_on_ = false;            // active core && fastpath.route_memo
-  bool static_dispatch_on_ = false; // active core && fastpath.static_dispatch
+  bool memo_on_ = false;              // active core
+  bool limiter_reads_route_ = true;   // limiter_->reads_route(), resolved
+                                      // per installed limiter
 
   // --- Flow control (resolved once at construction) --------------------
   std::unique_ptr<FlowControlScheme> flow_;
-  /// Non-null iff the scheme is Credit (set in either dispatch mode —
-  /// the fast path calls the same object non-virtually, so both modes
-  /// mutate identical state and stay bit-identical).
-  CreditFlowControl* credit_ = nullptr;
-  FlowControl fc_kind_ = FlowControl::Wormhole;
-  bool fc_virtual_ = true;  // dense core, or fastpath.fc_dispatch off
   bool fc_tracks_ = false;  // scheme consumes the per-flit event stream
   bool fc_vetoes_ = true;   // scheme's may_send can veto past occupancy
   bool fc_admits_ = true;   // scheme's admit can reject a VC claim
-  CreditChannelStatus credit_status_;
-  std::vector<std::uint8_t> fc_row_buf_;  // fc_status_row scratch
+  /// Non-null iff the scheme is Credit: the status register limiters
+  /// and the probe read then masks out VCs with outstanding credits.
+  std::unique_ptr<CreditChannelStatus> credit_status_;
+  /// What limiters read: *credit_status_ under Credit, else net_.
+  const core::ChannelStatus* limiter_status_ = nullptr;
 
   // --- Active-set state (maintained in both cores where the cost is
   // O(1) per transition; consumed only by the active core) -------------

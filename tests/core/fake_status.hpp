@@ -7,23 +7,25 @@
 
 namespace wormsim::core::testing {
 
-/// Per-node, per-channel free-VC masks set directly by tests.
+/// Per-node, per-channel free-VC masks set directly by tests, stored as
+/// contiguous per-node rows like the simulator's Network.
 class FakeStatus final : public ChannelStatus {
  public:
   FakeStatus(unsigned nodes, unsigned channels, unsigned vcs)
       : channels_(channels),
         vcs_(vcs),
         masks_(static_cast<std::size_t>(nodes) * channels,
-               (1u << vcs) - 1u) {}
+               static_cast<std::uint8_t>((1u << vcs) - 1u)) {}
 
   unsigned num_phys_channels() const override { return channels_; }
   unsigned num_vcs() const override { return vcs_; }
-  std::uint32_t free_vc_mask(NodeId node, ChannelId c) const override {
-    return masks_[static_cast<std::size_t>(node) * channels_ + c];
+  const std::uint8_t* free_row(NodeId node) const override {
+    return masks_.data() + static_cast<std::size_t>(node) * channels_;
   }
 
   void set_free(NodeId node, ChannelId c, std::uint32_t mask) {
-    masks_[static_cast<std::size_t>(node) * channels_ + c] = mask;
+    masks_[static_cast<std::size_t>(node) * channels_ + c] =
+        static_cast<std::uint8_t>(mask);
   }
   /// Make every channel of `node` have exactly `free_per_channel` free
   /// VCs (the lowest ones).
@@ -37,7 +39,7 @@ class FakeStatus final : public ChannelStatus {
  private:
   unsigned channels_;
   unsigned vcs_;
-  std::vector<std::uint32_t> masks_;
+  std::vector<std::uint8_t> masks_;
 };
 
 /// RouteResult with the given useful channel indices, all VCs usable.

@@ -65,7 +65,8 @@ TEST(AloGates, EquivalentToBehaviouralPredicateExhaustive) {
         status.set_free(0, static_cast<ChannelId>(c),
                         static_cast<std::uint32_t>(~busy_c & 0b11));
       }
-      const bool behavioural = evaluate_alo(status, 0, useful).allow();
+      const bool behavioural =
+          evaluate_alo(status.free_row(0), vcs, useful).allow();
       const bool gates = circuit.evaluate(busy, useful);
       ASSERT_EQ(gates, behavioural)
           << "busy=" << busy << " useful=" << useful;
@@ -88,7 +89,8 @@ TEST(AloGates, EquivalentToBehaviouralPredicateRandomPaperSize) {
       status.set_free(0, static_cast<ChannelId>(c),
                       static_cast<std::uint32_t>(~busy_c & 0b111));
     }
-    const bool behavioural = evaluate_alo(status, 0, useful).allow();
+    const bool behavioural =
+        evaluate_alo(status.free_row(0), vcs, useful).allow();
     ASSERT_EQ(circuit.evaluate(busy, useful), behavioural)
         << "busy=" << busy << " useful=" << useful;
   }

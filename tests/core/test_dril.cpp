@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
 #include "fake_status.hpp"
 #include "util/rng.hpp"
 
@@ -107,9 +111,9 @@ TEST_F(DrilTest, ResetClearsAllState) {
 
 TEST_F(DrilTest, BusyTotalCountsAllChannels) {
   status_.fill_uniform(2, 1);  // 1 free per channel -> 2 busy x 6 = 12
-  EXPECT_EQ(DrilLimiter::busy_total(status_, 2), 12u);
+  EXPECT_EQ(DrilLimiter::busy_total(status_.free_row(2), 6, 3), 12u);
   status_.fill_uniform(2, 3);
-  EXPECT_EQ(DrilLimiter::busy_total(status_, 2), 0u);
+  EXPECT_EQ(DrilLimiter::busy_total(status_.free_row(2), 6, 3), 0u);
 }
 
 TEST_F(DrilTest, ThresholdClampedToAtLeastOne) {
@@ -120,44 +124,101 @@ TEST_F(DrilTest, ThresholdClampedToAtLeastOne) {
   EXPECT_GE(dril_.threshold(3), 1u);
 }
 
-/// Property: the row-based path (busy_total_row / allow_row, the
-/// devirtualized cycle loop) tracks the ChannelStatus path bit for bit.
-/// DRIL is stateful (frozen thresholds, relax timers), so two instances
-/// are fed the identical random request stream and must stay in
-/// lock-step on every decision and every piece of introspectable state.
+/// Brute-force reference model of DRIL, written from the mechanism's
+/// description rather than from dril.cpp: per-node frozen flag,
+/// threshold and relax timer, with the busy count taken VC by VC
+/// through ChannelStatus::free_vc_mask over every output channel.
+class ReferenceDril {
+ public:
+  ReferenceDril(unsigned nodes, std::uint64_t detect_wait, unsigned margin,
+                std::uint64_t relax_period)
+      : detect_wait_(detect_wait),
+        margin_(margin),
+        relax_period_(relax_period),
+        state_(nodes) {}
+
+  bool allow(const InjectionRequest& req, const ChannelStatus& status) {
+    unsigned busy = 0;
+    unsigned total = 0;
+    for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
+      const std::uint32_t free =
+          status.free_vc_mask(req.node, static_cast<ChannelId>(c));
+      for (unsigned v = 0; v < status.num_vcs(); ++v) {
+        ++total;
+        if (!((free >> v) & 1u)) ++busy;
+      }
+    }
+    State& st = state_[req.node];
+    if (!st.frozen) {
+      if (req.head_wait <= detect_wait_) return true;
+      st.frozen = true;
+      const unsigned sampled = busy > margin_ ? busy - margin_ : 1;
+      st.threshold = std::clamp(sampled, 1u, total);
+      st.last_relax = req.cycle;
+    }
+    while (req.cycle - st.last_relax >= relax_period_) {
+      st.last_relax += relax_period_;
+      if (++st.threshold >= total) {
+        st.frozen = false;
+        return true;
+      }
+    }
+    return busy < st.threshold;
+  }
+
+  bool frozen(NodeId n) const { return state_[n].frozen; }
+  unsigned threshold(NodeId n) const { return state_[n].threshold; }
+
+ private:
+  struct State {
+    bool frozen = false;
+    unsigned threshold = 0;
+    std::uint64_t last_relax = 0;
+  };
+  std::uint64_t detect_wait_;
+  unsigned margin_;
+  std::uint64_t relax_period_;
+  std::vector<State> state_;
+};
+
+/// Property: busy_total and allow (the only implementation, run by both
+/// simulation cores) track the per-VC reference model bit for bit.
+/// DRIL is stateful (frozen thresholds, relax timers), so the limiter
+/// and the model are fed the identical random request stream and must
+/// stay in lock-step on every decision and every piece of
+/// introspectable state.
 TEST(DrilRowTwin, LockStepWithChannelStatusPathOnRandomStream) {
   constexpr unsigned kNodes = 4;
   constexpr unsigned kChannels = 6;
   constexpr unsigned kVcs = 3;
   FakeStatus status(kNodes, kChannels, kVcs);
-  DrilLimiter via_status(kNodes, /*detect_wait=*/16, /*margin=*/1,
-                         /*relax_period=*/50);
-  DrilLimiter via_row(kNodes, 16, 1, 50);
+  DrilLimiter dril(kNodes, /*detect_wait=*/16, /*margin=*/1,
+                   /*relax_period=*/50);
+  ReferenceDril reference(kNodes, 16, 1, 50);
   util::Rng rng(0xD211);
   const auto route = make_route({0, 2, 4}, kVcs);
 
   for (std::uint64_t t = 0; t < 4000; ++t) {
     const auto node = static_cast<NodeId>(rng.below(kNodes));
-    std::uint8_t row[kChannels];
+    unsigned busy = 0;
     for (unsigned c = 0; c < kChannels; ++c) {
       const auto mask = static_cast<std::uint32_t>(rng.below(1u << kVcs));
       status.set_free(node, static_cast<ChannelId>(c), mask);
-      row[c] = static_cast<std::uint8_t>(mask);
+      busy += kVcs - static_cast<unsigned>(std::popcount(mask));
     }
-    ASSERT_EQ(DrilLimiter::busy_total(status, node),
-              DrilLimiter::busy_total_row(row, kChannels, kVcs))
+    ASSERT_EQ(DrilLimiter::busy_total(status.free_row(node), kChannels, kVcs),
+              busy)
         << "cycle " << t;
     // Long head waits appear often enough to freeze and relax repeatedly.
     const std::uint64_t head_wait = rng.below(40);
     const auto req = request_at(node, route, t, head_wait);
-    ASSERT_EQ(via_status.allow(req, status),
-              via_row.allow_row(req, row, kChannels, kVcs))
+    ASSERT_EQ(reference.allow(req, status), dril.allow(req, status))
         << "cycle " << t << " node " << node;
     for (NodeId n = 0; n < kNodes; ++n) {
-      ASSERT_EQ(via_status.frozen(n), via_row.frozen(n))
+      ASSERT_EQ(reference.frozen(n), dril.frozen(n))
           << "cycle " << t << " node " << n;
-      if (via_status.frozen(n)) {
-        ASSERT_EQ(via_status.threshold(n), via_row.threshold(n))
+      if (reference.frozen(n)) {
+        ASSERT_EQ(reference.threshold(n), dril.threshold(n))
             << "cycle " << t << " node " << n;
       }
     }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fake_status.hpp"
 #include "util/rng.hpp"
 
@@ -26,8 +28,8 @@ TEST(LinearFunction, CountsOnlyUsefulChannels) {
   status.set_free(0, 4, 0b111);  // 0 busy
   status.set_free(0, 1, 0b000);  // 3 busy but NOT useful
   const auto route = make_route({0, 2, 4}, 3);
-  const auto counts =
-      LinearFunctionLimiter::count_useful(status, 0, route);
+  const auto counts = LinearFunctionLimiter::count_useful(
+      status.free_row(0), 3, route.useful_phys_mask);
   EXPECT_EQ(counts.total, 9u);
   EXPECT_EQ(counts.busy, 5u);
 }
@@ -87,20 +89,44 @@ TEST(LinearFunction, AdaptsToPatternFootprint) {
   EXPECT_FALSE(lf.allow(make_request(0, butterfly), status));
 }
 
-/// Property: count_useful_row / allow_row (the devirtualized cycle-loop
-/// path) agree with the ChannelStatus versions on random state. LF is
-/// stateless, so one limiter instance can answer both forms.
+/// Brute-force reference for LF's decision, written from the rule
+/// itself: walk every VC of every useful channel through
+/// ChannelStatus::free_vc_mask, count the busy ones, and compare with
+/// floor(alpha * useful VCs). Shares no code with count_useful.
+bool reference_lf(const ChannelStatus& status, NodeId node,
+                  std::uint32_t useful_phys_mask, double alpha,
+                  LinearFunctionLimiter::Counts* counts) {
+  unsigned busy = 0;
+  unsigned total = 0;
+  for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
+    if (!(useful_phys_mask & (1u << c))) continue;
+    const std::uint32_t free =
+        status.free_vc_mask(node, static_cast<ChannelId>(c));
+    for (unsigned v = 0; v < status.num_vcs(); ++v) {
+      ++total;
+      if (!((free >> v) & 1u)) ++busy;
+    }
+  }
+  counts->busy = busy;
+  counts->total = total;
+  if (total == 0) return true;
+  return busy <= static_cast<unsigned>(std::floor(alpha * total));
+}
+
+/// Property: count_useful and allow (the only implementation, run by
+/// both simulation cores) agree with the per-VC reference on random
+/// state.
 TEST(LinearFunctionRowTwin, MatchesChannelStatusPathOnRandomState) {
   constexpr unsigned kChannels = 6;
   constexpr unsigned kVcs = 3;
-  FakeStatus status(1, kChannels, kVcs);
+  constexpr NodeId kNodes = 4;
+  FakeStatus status(kNodes, kChannels, kVcs);
   util::Rng rng(0x1F);
   for (int iter = 0; iter < 5000; ++iter) {
-    std::uint8_t row[kChannels];
+    const auto node = static_cast<NodeId>(rng.below(kNodes));
     for (unsigned c = 0; c < kChannels; ++c) {
-      const auto mask = static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      status.set_free(0, static_cast<ChannelId>(c), mask);
-      row[c] = static_cast<std::uint8_t>(mask);
+      status.set_free(node, static_cast<ChannelId>(c),
+                      static_cast<std::uint32_t>(rng.below(1u << kVcs)));
     }
     routing::RouteResult route;
     const unsigned cands = static_cast<unsigned>(rng.below(kChannels + 1));
@@ -109,15 +135,15 @@ TEST(LinearFunctionRowTwin, MatchesChannelStatusPathOnRandomState) {
           {static_cast<ChannelId>(i), (1u << kVcs) - 1u, false});
       route.useful_phys_mask |= 1u << i;
     }
-    const auto vc = LinearFunctionLimiter::count_useful(status, 0, route);
-    const auto rc = LinearFunctionLimiter::count_useful_row(
-        row, kVcs, route.useful_phys_mask);
-    ASSERT_EQ(vc.busy, rc.busy) << "iter " << iter;
-    ASSERT_EQ(vc.total, rc.total) << "iter " << iter;
-
     LinearFunctionLimiter lf(static_cast<double>(rng.below(11)) / 10.0);
-    const auto req = make_request(0, route);
-    ASSERT_EQ(lf.allow(req, status), lf.allow_row(req, row, kVcs))
+    LinearFunctionLimiter::Counts ref;
+    const bool ref_allow = reference_lf(status, node, route.useful_phys_mask,
+                                        lf.alpha(), &ref);
+    const auto rc = LinearFunctionLimiter::count_useful(
+        status.free_row(node), kVcs, route.useful_phys_mask);
+    ASSERT_EQ(ref.busy, rc.busy) << "iter " << iter;
+    ASSERT_EQ(ref.total, rc.total) << "iter " << iter;
+    ASSERT_EQ(ref_allow, lf.allow(make_request(node, route), status))
         << "iter " << iter << " alpha " << lf.alpha();
   }
 }

@@ -279,5 +279,59 @@ TEST(UnknownFlags, AllConsumedPasses) {
   EXPECT_EQ(cfg.seed, 3u);
 }
 
+// Malformed sweep ranges and window widths fail at the CLI edge with
+// status 2 and the offending flag named, before anything runs.
+TEST(LoadRangeFlags, ZeroPointsRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--loads", "0"};
+  const util::ArgParser args(3, argv);
+  EXPECT_EXIT(load_range_flags(args, 0.1, 1.2, 7),
+              ::testing::ExitedWithCode(2), "--loads must be at least 1");
+}
+
+TEST(LoadRangeFlags, InvertedRangeRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--min-load", "0.2",
+                              "--max-load", "0.1"};
+  const util::ArgParser args(5, argv);
+  EXPECT_EXIT(load_range_flags(args, 0.1, 1.2, 7),
+              ::testing::ExitedWithCode(2),
+              "--min-load must not exceed --max-load");
+}
+
+TEST(LoadRangeFlags, NegativeLoadRejectedWithStatus2) {
+  const char* const low[] = {"fig05_uniform16", "--min-load", "-0.1"};
+  EXPECT_EXIT(load_range_flags(util::ArgParser(3, low), 0.1, 1.2, 7),
+              ::testing::ExitedWithCode(2), "--min-load must be a load >= 0");
+  const char* const high[] = {"fig05_uniform16", "--min-load=-0.3",
+                              "--max-load=-0.1"};
+  EXPECT_EXIT(load_range_flags(util::ArgParser(3, high), 0.1, 1.2, 7),
+              ::testing::ExitedWithCode(2), "--min-load must be a load >= 0");
+  // A default range that would invert is rejected the same way.
+  const char* const max_only[] = {"fig05_uniform16", "--max-load", "0.05"};
+  EXPECT_EXIT(load_range_flags(util::ArgParser(3, max_only), 0.1, 1.2, 7),
+              ::testing::ExitedWithCode(2),
+              "--min-load must not exceed --max-load");
+}
+
+TEST(LoadRangeFlags, ValidRangeMatchesLoadRangeAndConsumesFlags) {
+  const char* const argv[] = {"fig05_uniform16", "--min-load", "0.2",
+                              "--max-load=0.6", "--loads", "3"};
+  const util::ArgParser args(6, argv);
+  EXPECT_EQ(load_range_flags(args, 0.1, 1.2, 7), load_range(0.2, 0.6, 3));
+  reject_unknown_flags(args);  // returns: every flag was consumed
+  // Defaults apply to absent flags; a single point and a degenerate
+  // range are both valid.
+  const char* const bare[] = {"fig05_uniform16", "--loads=1"};
+  EXPECT_EQ(load_range_flags(util::ArgParser(2, bare), 0.4, 0.4, 7),
+            std::vector<double>{0.4});
+}
+
+TEST(ObsSessionFlags, ZeroOnlineWindowRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--metrics-out",
+                              "unused.jsonl", "--online-window", "0"};
+  const util::ArgParser args(5, argv);
+  EXPECT_EXIT(ObsSession session(args), ::testing::ExitedWithCode(2),
+              "--online-window must be at least 1 cycle");
+}
+
 }  // namespace
 }  // namespace wormsim::harness

@@ -2,8 +2,9 @@
 // every (here, dst) pair the expanded RouteResult — candidate order,
 // per-candidate VC masks, escape flags and the useful-channel mask —
 // equals what fn.route() computes on the fly. The simulator relies on
-// this equality for bit-identical sweep CSVs when fastpath.routing_lut
-// toggles, so the comparison here is exact, not structural.
+// this equality for bit-identical sweep CSVs between the active core
+// (which routes from the LUT) and the dense core (which calls the
+// function), so the comparison here is exact, not structural.
 #include "routing/routing_lut.hpp"
 
 #include <gtest/gtest.h>

@@ -2,20 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <cstdint>
 
 namespace wormsim::routing {
 namespace {
 
-/// Test double: fixed free-VC masks per channel.
-class FakeView final : public FreeVcView {
- public:
-  std::uint32_t free_vc_mask(topo::ChannelId c) const override {
-    const auto it = masks_.find(c);
-    return it == masks_.end() ? 0u : it->second;
-  }
-  std::map<topo::ChannelId, std::uint32_t> masks_;
-};
+/// Free-VC row of a six-channel router (row[c] = free mask of channel
+/// c), every channel busy until a test frees VCs.
+using FreeRow = std::uint8_t[6];
 
 RouteResult two_channel_route(std::uint32_t mask0, std::uint32_t mask2,
                               bool second_escape = false) {
@@ -35,16 +29,16 @@ TEST(Selection, ParseNames) {
 
 TEST(Selection, NoFreeVcReturnsNullopt) {
   const Selector sel(SelectionPolicy::FirstFit);
-  FakeView view;  // everything busy
+  FreeRow view = {};  // everything busy
   const auto r = two_channel_route(0b111, 0b111);
   EXPECT_FALSE(sel.select(r, view, 0).has_value());
 }
 
 TEST(Selection, FirstFitTakesFirstCandidate) {
   const Selector sel(SelectionPolicy::FirstFit);
-  FakeView view;
-  view.masks_[0] = 0b010;
-  view.masks_[2] = 0b111;
+  FreeRow view = {};
+  view[0] = 0b010;
+  view[2] = 0b111;
   const auto pick = sel.select(two_channel_route(0b111, 0b111), view, 5);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 0);
@@ -53,9 +47,9 @@ TEST(Selection, FirstFitTakesFirstCandidate) {
 
 TEST(Selection, FirstFitSkipsFullyBusyChannel) {
   const Selector sel(SelectionPolicy::FirstFit);
-  FakeView view;
-  view.masks_[0] = 0;
-  view.masks_[2] = 0b100;
+  FreeRow view = {};
+  view[0] = 0;
+  view[2] = 0b100;
   const auto pick = sel.select(two_channel_route(0b111, 0b111), view, 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 2);
@@ -64,9 +58,9 @@ TEST(Selection, FirstFitSkipsFullyBusyChannel) {
 
 TEST(Selection, RespectsVcMaskRestrictions) {
   const Selector sel(SelectionPolicy::FirstFit);
-  FakeView view;
-  view.masks_[0] = 0b001;  // VC0 free
-  view.masks_[2] = 0b010;  // VC1 free
+  FreeRow view = {};
+  view[0] = 0b001;  // VC0 free
+  view[2] = 0b010;  // VC1 free
   // Candidate masks forbid exactly those free VCs.
   const auto pick = sel.select(two_channel_route(0b110, 0b101), view, 0);
   EXPECT_FALSE(pick.has_value());
@@ -74,9 +68,9 @@ TEST(Selection, RespectsVcMaskRestrictions) {
 
 TEST(Selection, MaxFreePrefersEmptierChannel) {
   const Selector sel(SelectionPolicy::MaxFreeVcs);
-  FakeView view;
-  view.masks_[0] = 0b001;  // one free VC
-  view.masks_[2] = 0b111;  // three free VCs
+  FreeRow view = {};
+  view[0] = 0b001;  // one free VC
+  view[2] = 0b111;  // three free VCs
   const auto pick = sel.select(two_channel_route(0b111, 0b111), view, 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 2);
@@ -84,9 +78,9 @@ TEST(Selection, MaxFreePrefersEmptierChannel) {
 
 TEST(Selection, MaxFreeCountsOnlyUsableVcs) {
   const Selector sel(SelectionPolicy::MaxFreeVcs);
-  FakeView view;
-  view.masks_[0] = 0b011;  // two free, both usable
-  view.masks_[2] = 0b111;  // three free but only one usable below
+  FreeRow view = {};
+  view[0] = 0b011;  // two free, both usable
+  view[2] = 0b111;  // three free but only one usable below
   const auto pick = sel.select(two_channel_route(0b011, 0b100), view, 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 0);
@@ -94,9 +88,9 @@ TEST(Selection, MaxFreeCountsOnlyUsableVcs) {
 
 TEST(Selection, MaxFreeRotatesTies) {
   const Selector sel(SelectionPolicy::MaxFreeVcs);
-  FakeView view;
-  view.masks_[0] = 0b111;
-  view.masks_[2] = 0b111;
+  FreeRow view = {};
+  view[0] = 0b111;
+  view[2] = 0b111;
   const auto r = two_channel_route(0b111, 0b111);
   const auto p0 = sel.select(r, view, 0);
   const auto p1 = sel.select(r, view, 1);
@@ -106,9 +100,9 @@ TEST(Selection, MaxFreeRotatesTies) {
 
 TEST(Selection, RoundRobinCyclesCandidates) {
   const Selector sel(SelectionPolicy::RoundRobin);
-  FakeView view;
-  view.masks_[0] = 0b111;
-  view.masks_[2] = 0b111;
+  FreeRow view = {};
+  view[0] = 0b111;
+  view[2] = 0b111;
   const auto r = two_channel_route(0b111, 0b111);
   const auto p0 = sel.select(r, view, 0);
   const auto p1 = sel.select(r, view, 1);
@@ -121,9 +115,9 @@ TEST(Selection, RoundRobinCyclesCandidates) {
 
 TEST(Selection, AdaptivePreferredOverEscape) {
   const Selector sel(SelectionPolicy::MaxFreeVcs);
-  FakeView view;
-  view.masks_[0] = 0b001;  // adaptive: one free VC
-  view.masks_[2] = 0b111;  // escape channel completely free
+  FreeRow view = {};
+  view[0] = 0b001;  // adaptive: one free VC
+  view[2] = 0b111;  // escape channel completely free
   const auto pick =
       sel.select(two_channel_route(0b111, 0b111, /*second_escape=*/true),
                  view, 0);
@@ -134,9 +128,9 @@ TEST(Selection, AdaptivePreferredOverEscape) {
 
 TEST(Selection, FallsBackToEscapeWhenAdaptiveBusy) {
   const Selector sel(SelectionPolicy::MaxFreeVcs);
-  FakeView view;
-  view.masks_[0] = 0;      // adaptive exhausted
-  view.masks_[2] = 0b010;  // escape VC 1 free
+  FreeRow view = {};
+  view[0] = 0;      // adaptive exhausted
+  view[2] = 0b010;  // escape VC 1 free
   const auto pick =
       sel.select(two_channel_route(0b111, 0b010, /*second_escape=*/true),
                  view, 0);
@@ -148,7 +142,7 @@ TEST(Selection, FallsBackToEscapeWhenAdaptiveBusy) {
 
 TEST(Selection, EmptyRouteReturnsNullopt) {
   const Selector sel(SelectionPolicy::MaxFreeVcs);
-  FakeView view;
+  FreeRow view = {};
   RouteResult r;
   EXPECT_FALSE(sel.select(r, view, 0).has_value());
 }

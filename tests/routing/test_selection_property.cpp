@@ -3,7 +3,9 @@
 // three policies must agree on *feasibility* (all succeed or all fail).
 #include <gtest/gtest.h>
 
-#include <map>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "routing/selection.hpp"
 #include "util/rng.hpp"
@@ -11,14 +13,58 @@
 namespace wormsim::routing {
 namespace {
 
-class RandomView final : public FreeVcView {
- public:
-  std::uint32_t free_vc_mask(topo::ChannelId c) const override {
-    const auto it = masks_.find(c);
-    return it == masks_.end() ? 0u : it->second;
+constexpr unsigned kChannels = 6;
+
+/// Brute-force reference selector, written from the policy definitions
+/// rather than from selection.cpp: enumerate every (candidate, VC) pair
+/// that is free and usable, keep the adaptive ones if there are any
+/// (escape otherwise), then pick per policy — FirstFit the first
+/// candidate in route order, RoundRobin the first in rotated order,
+/// MaxFreeVcs the candidate with the most usable free VCs (first in
+/// rotated order on ties) — always on its lowest such VC.
+std::optional<Pick> reference_select(SelectionPolicy policy,
+                                     const RouteResult& route,
+                                     const std::uint8_t* row,
+                                     std::uint32_t rr) {
+  for (const bool escape : {false, true}) {
+    std::vector<std::size_t> tier;  // candidate indices, route order
+    for (std::size_t i = 0; i < route.candidates.size(); ++i) {
+      if (route.candidates[i].escape == escape) tier.push_back(i);
+    }
+    const auto free_usable = [&](std::size_t i) {
+      const Candidate& c = route.candidates[i];
+      std::vector<std::uint8_t> vcs;
+      for (std::uint8_t v = 0; v < 8; ++v) {
+        if (((row[c.channel] >> v) & 1u) && ((c.vc_mask >> v) & 1u)) {
+          vcs.push_back(v);
+        }
+      }
+      return vcs;
+    };
+    std::vector<std::size_t> order = tier;
+    if (policy != SelectionPolicy::FirstFit && !tier.empty()) {
+      for (std::size_t j = 0; j < tier.size(); ++j) {
+        order[j] = tier[(j + rr) % tier.size()];
+      }
+    }
+    std::optional<Pick> best;
+    std::size_t best_free = 0;
+    for (const std::size_t i : order) {
+      const auto vcs = free_usable(i);
+      if (vcs.empty()) continue;
+      const Candidate& c = route.candidates[i];
+      if (policy != SelectionPolicy::MaxFreeVcs) {
+        return Pick{c.channel, vcs.front(), c.escape};
+      }
+      if (vcs.size() > best_free) {
+        best_free = vcs.size();
+        best = Pick{c.channel, vcs.front(), c.escape};
+      }
+    }
+    if (best) return best;
   }
-  std::map<topo::ChannelId, std::uint32_t> masks_;
-};
+  return std::nullopt;
+}
 
 class SelectionPropertyTest : public ::testing::TestWithParam<SelectionPolicy> {
 };
@@ -28,7 +74,7 @@ TEST_P(SelectionPropertyTest, PicksAreAlwaysAdmissible) {
   util::Rng rng(1234);
   constexpr unsigned kVcs = 3;
   for (int iter = 0; iter < 5000; ++iter) {
-    RandomView view;
+    std::uint8_t row[kChannels] = {};
     RouteResult route;
     const unsigned num_cands = 1 + static_cast<unsigned>(rng.below(6));
     bool feasible = false;
@@ -38,7 +84,7 @@ TEST_P(SelectionPropertyTest, PicksAreAlwaysAdmissible) {
           static_cast<std::uint32_t>(rng.between(1, (1u << kVcs) - 1));
       const auto free =
           static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      view.masks_[ch] = free;
+      row[i] = static_cast<std::uint8_t>(free);
       // Escape candidates must come last; make the final one escape
       // half the time.
       const bool escape = (i == num_cands - 1) && rng.bernoulli(0.5);
@@ -47,7 +93,7 @@ TEST_P(SelectionPropertyTest, PicksAreAlwaysAdmissible) {
       feasible |= (vc_mask & free) != 0;
     }
     const auto rr = static_cast<std::uint32_t>(rng.below(16));
-    const auto pick = sel.select(route, view, rr);
+    const auto pick = sel.select(route, row, rr);
     ASSERT_EQ(pick.has_value(), feasible) << "iteration " << iter;
     if (pick) {
       // The picked VC must be free and usable on the picked channel.
@@ -57,7 +103,7 @@ TEST_P(SelectionPropertyTest, PicksAreAlwaysAdmissible) {
       }
       ASSERT_NE(cand, nullptr);
       EXPECT_TRUE(cand->vc_mask & (1u << pick->vc));
-      EXPECT_TRUE(view.free_vc_mask(pick->channel) & (1u << pick->vc));
+      EXPECT_TRUE(row[pick->channel] & (1u << pick->vc));
     }
   }
 }
@@ -66,15 +112,15 @@ TEST_P(SelectionPropertyTest, EscapeOnlyChosenWhenNoAdaptiveOption) {
   const Selector sel(GetParam());
   util::Rng rng(99);
   for (int iter = 0; iter < 2000; ++iter) {
-    RandomView view;
+    std::uint8_t row[kChannels] = {};
     RouteResult route;
-    const auto adaptive_free = static_cast<std::uint32_t>(rng.below(8));
-    view.masks_[0] = adaptive_free;
-    view.masks_[2] = 0b111;
+    const auto adaptive_free = static_cast<std::uint8_t>(rng.below(8));
+    row[0] = adaptive_free;
+    row[2] = 0b111;
     route.candidates.push_back({0, 0b111, false});
     route.candidates.push_back({2, 0b011, true});
     route.useful_phys_mask = 0b101;
-    const auto pick = sel.select(route, view, static_cast<std::uint32_t>(iter));
+    const auto pick = sel.select(route, row, static_cast<std::uint32_t>(iter));
     ASSERT_TRUE(pick.has_value());
     if (adaptive_free != 0) {
       EXPECT_FALSE(pick->escape) << "adaptive VC was free but escape taken";
@@ -84,17 +130,15 @@ TEST_P(SelectionPropertyTest, EscapeOnlyChosenWhenNoAdaptiveOption) {
   }
 }
 
-/// Property: the row-based select overload (the devirtualized
-/// cycle-loop path, fed a contiguous free-mask array instead of a
-/// FreeVcView) returns the identical Pick — channel, VC and escape flag
-/// — for random candidate sets, masks and round-robin states.
+/// Property: Selector::select (the only implementation, run by both
+/// simulation cores) returns the identical Pick — channel, VC and
+/// escape flag — as the brute-force reference selector for random
+/// candidate sets, masks and round-robin states.
 TEST_P(SelectionPropertyTest, RowOverloadMatchesVirtualView) {
   const Selector sel(GetParam());
   util::Rng rng(0x5E1);
   constexpr unsigned kVcs = 3;
-  constexpr unsigned kChannels = 6;
   for (int iter = 0; iter < 5000; ++iter) {
-    RandomView view;
     std::uint8_t row[kChannels] = {};
     RouteResult route;
     const unsigned num_cands =
@@ -103,21 +147,19 @@ TEST_P(SelectionPropertyTest, RowOverloadMatchesVirtualView) {
       const auto ch = static_cast<topo::ChannelId>(i);
       const auto vc_mask =
           static_cast<std::uint32_t>(rng.between(1, (1u << kVcs) - 1));
-      const auto free = static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      view.masks_[ch] = free;
-      row[i] = static_cast<std::uint8_t>(free);
+      row[i] = static_cast<std::uint8_t>(rng.below(1u << kVcs));
       const bool escape = (i == num_cands - 1) && rng.bernoulli(0.5);
       route.candidates.push_back({ch, vc_mask, escape});
       route.useful_phys_mask |= 1u << i;
     }
     const auto rr = static_cast<std::uint32_t>(rng.below(16));
-    const auto via_view = sel.select(route, view, rr);
-    const auto via_row = sel.select(route, row, rr);
-    ASSERT_EQ(via_view.has_value(), via_row.has_value()) << "iter " << iter;
-    if (via_view) {
-      ASSERT_EQ(via_view->channel, via_row->channel) << "iter " << iter;
-      ASSERT_EQ(via_view->vc, via_row->vc) << "iter " << iter;
-      ASSERT_EQ(via_view->escape, via_row->escape) << "iter " << iter;
+    const auto want = reference_select(GetParam(), route, row, rr);
+    const auto got = sel.select(route, row, rr);
+    ASSERT_EQ(want.has_value(), got.has_value()) << "iter " << iter;
+    if (want) {
+      ASSERT_EQ(want->channel, got->channel) << "iter " << iter;
+      ASSERT_EQ(want->vc, got->vc) << "iter " << iter;
+      ASSERT_EQ(want->escape, got->escape) << "iter " << iter;
     }
   }
 }

@@ -132,12 +132,12 @@ INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
                            return name;
                          });
 
-/// Every fast-path toggle combination of the active core must emit the
-/// same sweep CSV as the dense reference: the routing LUT, the
-/// blocked-header route memo and the static limiter/selection dispatch
-/// are pure speedups, never approximations. One sweep per
-/// configuration over the full limiter matrix, compared byte-for-byte.
-TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
+/// The active core's routing LUT and blocked-header route memo, and the
+/// single limiter/selection call both cores share, must emit the dense
+/// reference's sweep CSV under every routing algorithm and selection
+/// policy — not just the TFAR/MaxFreeVcs default the pattern matrix
+/// above runs. They are pure speedups, never approximations.
+TEST(CoreEquivalence, EveryRoutingAndSelectionKeepsSweepCsvByteIdentical) {
   harness::SweepSpec spec;
   spec.base = equivalence_base();
   spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO,
@@ -145,31 +145,28 @@ TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
   spec.offered_loads = {0.1, 1.0};
   spec.jobs = 1;
 
-  spec.base.sim.core = SimCore::Dense;
-  std::ostringstream reference;
-  harness::write_sweep_csv(reference, harness::run_sweep(spec));
-
-  struct Toggle {
-    const char* label;
-    FastPathConfig fp;
+  struct Variant {
+    routing::Algorithm algorithm;
+    routing::SelectionPolicy selection;
   };
-  const Toggle toggles[] = {
-      {"all-on", {}},
-      {"lut-off", {.routing_lut = false}},
-      {"memo-off", {.route_memo = false}},
-      {"dispatch-off", {.static_dispatch = false}},
-      {"fc-dispatch-off", {.fc_dispatch = false}},
-      {"all-off",
-       {.routing_lut = false, .route_memo = false, .static_dispatch = false,
-        .fc_dispatch = false}},
+  const Variant variants[] = {
+      {routing::Algorithm::DOR, routing::SelectionPolicy::MaxFreeVcs},
+      {routing::Algorithm::Duato, routing::SelectionPolicy::MaxFreeVcs},
+      {routing::Algorithm::TFAR, routing::SelectionPolicy::FirstFit},
+      {routing::Algorithm::TFAR, routing::SelectionPolicy::RoundRobin},
   };
-  spec.base.sim.core = SimCore::Active;
-  for (const auto& t : toggles) {
-    SCOPED_TRACE(t.label);
-    spec.base.sim.fastpath = t.fp;
-    std::ostringstream csv;
-    harness::write_sweep_csv(csv, harness::run_sweep(spec));
-    EXPECT_EQ(reference.str(), csv.str());
+  for (const auto& v : variants) {
+    SCOPED_TRACE(std::string(routing::algorithm_name(v.algorithm)) + "/" +
+                 std::string(routing::selection_name(v.selection)));
+    spec.base.sim.algorithm = v.algorithm;
+    spec.base.sim.selection = v.selection;
+    spec.base.sim.core = SimCore::Dense;
+    std::ostringstream dense;
+    harness::write_sweep_csv(dense, harness::run_sweep(spec));
+    spec.base.sim.core = SimCore::Active;
+    std::ostringstream active;
+    harness::write_sweep_csv(active, harness::run_sweep(spec));
+    EXPECT_EQ(dense.str(), active.str());
   }
 }
 
@@ -211,23 +208,18 @@ std::string sweep_csv(const harness::SweepSpec& spec) {
 }
 
 /// The tentpole guarantee: wormhole-through-the-interface reproduces
-/// the pre-refactor sweep byte-for-byte on every core, with the
-/// flow-control fast-path dispatch on and off, and under any --jobs
-/// count. Any diff here means the interface extraction changed
+/// the pre-refactor sweep byte-for-byte on every core and under any
+/// --jobs count. Any diff here means the interface extraction changed
 /// behavior, which it is never allowed to do.
 TEST(FlowControl, WormholeViaInterfaceMatchesPreRefactorGolden) {
   harness::SweepSpec spec = golden_sweep_spec();
   for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    for (const bool fc_dispatch : {true, false}) {
-      for (const unsigned jobs : {1u, 4u}) {
-        SCOPED_TRACE(std::string(sim_core_name(core)) +
-                     (fc_dispatch ? " fc-dispatch" : " fc-virtual") +
-                     " jobs=" + std::to_string(jobs));
-        spec.base.sim.core = core;
-        spec.base.sim.fastpath.fc_dispatch = fc_dispatch;
-        spec.jobs = jobs;
-        EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
-      }
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE(std::string(sim_core_name(core)) +
+                   " jobs=" + std::to_string(jobs));
+      spec.base.sim.core = core;
+      spec.jobs = jobs;
+      EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
     }
   }
 }
@@ -372,10 +364,10 @@ TEST(FlowControl, SchemesConserveAndOrderLatencyAtLowLoad) {
 }
 
 /// Lock-step microscope over the schemes themselves: for each scheme
-/// the dense core (always routed through the virtual FlowControlScheme
-/// interface) and the active core (devirtualized fast path) must agree
-/// on complete channel-level state every cycle, with the full shared
-/// invariant battery — including credit conservation — green on both.
+/// the dense core and the active core (routing LUT, route memo,
+/// active-set iteration) must agree on complete channel-level state
+/// every cycle, with the full shared invariant battery — including
+/// credit conservation — green on both.
 class FlowControlLockStep : public ::testing::TestWithParam<FlowControl> {};
 
 TEST_P(FlowControlLockStep, ChannelStateAgreesEveryCycle) {
@@ -413,7 +405,7 @@ TEST_P(FlowControlLockStep, ChannelStateAgreesEveryCycle) {
     ASSERT_TRUE(testing::check_all_invariants(*dense));
     ASSERT_TRUE(testing::check_all_invariants(*active));
   }
-  // The devirtualized path must account credit messages identically.
+  // Both cores must account credit messages identically.
   ASSERT_EQ(dense->flow_control().credit_messages(),
             active->flow_control().credit_messages());
   if (GetParam() == FlowControl::Credit) {

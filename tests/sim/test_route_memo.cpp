@@ -118,17 +118,16 @@ TEST(LinkEpoch, EqualEpochImpliesEqualFreeMaskAcrossCycles) {
   }
 }
 
-/// Lock-step differential: the memoized active core against the
-/// memo-off active core and the dense reference, past saturation with
-/// deadlock detection/recovery firing. Complete channel-state equality
-/// every cycle — a stale memo hit (missed invalidation, stale tenancy
-/// key, wrong no-detect bound) would diverge within a few cycles.
-TEST(RouteMemo, LockStepIdenticalToMemoOffAndDense) {
+/// Lock-step differential: the memoized active core against the dense
+/// reference (which has no memo), past saturation with deadlock
+/// detection/recovery firing. Complete channel-state equality every
+/// cycle — a stale memo hit (missed invalidation, stale tenancy key,
+/// wrong no-detect bound) would diverge within a few cycles.
+TEST(RouteMemo, LockStepIdenticalToDense) {
   const topo::KAryNCube topo(4, 2);
-  const auto make = [&](SimCore core, bool memo) {
+  const auto make = [&](SimCore core) {
     SimulatorConfig cfg = default_config();
     cfg.core = core;
-    cfg.fastpath.route_memo = memo;
     // Unlimited TFAR on a single VC: past saturation this deadlocks
     // repeatedly, which is what makes the no-detect bounds in the memo
     // load-bearing (a premature skip would delay a detection).
@@ -140,47 +139,39 @@ TEST(RouteMemo, LockStepIdenticalToMemoOffAndDense) {
     auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 99);
     return std::make_unique<Simulator>(topo, cfg, std::move(workload));
   };
-  auto memo_on = make(SimCore::Active, true);
-  auto memo_off = make(SimCore::Active, false);
-  auto dense = make(SimCore::Dense, true);  // toggles are no-ops on Dense
+  auto memo = make(SimCore::Active);
+  auto dense = make(SimCore::Dense);
 
   for (int block = 0; block < 200; ++block) {
     for (int i = 0; i < 10; ++i) {
-      memo_on->step();
-      memo_off->step();
+      memo->step();
       dense->step();
     }
-    const Cycle at = memo_on->cycle();
-    for (const Simulator* other : {memo_off.get(), dense.get()}) {
-      const Network& a = memo_on->network();
-      const Network& b = other->network();
-      for (LinkId l = 0; l < a.num_links(); ++l) {
-        ASSERT_EQ(a.link(l).active_vc_mask, b.link(l).active_vc_mask)
-            << "link " << l << " cycle " << at;
-        for (unsigned v = 0; v < a.vcs_on(l); ++v) {
-          const VcRef ref{l, static_cast<std::uint8_t>(v)};
-          ASSERT_EQ(a.vc(ref).msg, b.vc(ref).msg)
-              << "vc " << l << "/" << v << " cycle " << at;
-          ASSERT_EQ(a.vc(ref).occupancy, b.vc(ref).occupancy)
-              << "vc " << l << "/" << v << " cycle " << at;
-          ASSERT_EQ(a.vc(ref).last_activity, b.vc(ref).last_activity)
-              << "vc " << l << "/" << v << " cycle " << at;
-        }
+    const Cycle at = memo->cycle();
+    const Network& a = memo->network();
+    const Network& b = dense->network();
+    for (LinkId l = 0; l < a.num_links(); ++l) {
+      ASSERT_EQ(a.link(l).active_vc_mask, b.link(l).active_vc_mask)
+          << "link " << l << " cycle " << at;
+      for (unsigned v = 0; v < a.vcs_on(l); ++v) {
+        const VcRef ref{l, static_cast<std::uint8_t>(v)};
+        ASSERT_EQ(a.vc(ref).msg, b.vc(ref).msg)
+            << "vc " << l << "/" << v << " cycle " << at;
+        ASSERT_EQ(a.vc(ref).occupancy, b.vc(ref).occupancy)
+            << "vc " << l << "/" << v << " cycle " << at;
+        ASSERT_EQ(a.vc(ref).last_activity, b.vc(ref).last_activity)
+            << "vc " << l << "/" << v << " cycle " << at;
       }
     }
-    ASSERT_EQ(memo_on->total_delivered(), memo_off->total_delivered());
-    ASSERT_EQ(memo_on->total_delivered(), dense->total_delivered());
-    ASSERT_EQ(memo_on->total_deadlock_detections(),
-              memo_off->total_deadlock_detections());
-    ASSERT_EQ(memo_on->total_deadlock_detections(),
+    ASSERT_EQ(memo->total_delivered(), dense->total_delivered());
+    ASSERT_EQ(memo->total_deadlock_detections(),
               dense->total_deadlock_detections());
   }
   // The run actually exercised the memo: deadlocks fired (so the
   // no-detect bounds mattered) and a meaningful share of route queries
   // were answered from the memo.
-  EXPECT_GT(memo_on->total_deadlock_detections(), 0u);
-  EXPECT_GT(memo_on->scan_stats().route_memo_hits, 0u);
-  EXPECT_EQ(memo_off->scan_stats().route_memo_hits, 0u);
+  EXPECT_GT(memo->total_deadlock_detections(), 0u);
+  EXPECT_GT(memo->scan_stats().route_memo_hits, 0u);
   EXPECT_EQ(dense->scan_stats().route_memo_hits, 0u);
 }
 
@@ -216,9 +207,8 @@ TEST(LinkEpoch, DeadLinkTransitionsBumpLikeSetActive) {
 /// physical link dies and heals three times while the 1-VC network
 /// deadlocks repeatedly, so fault surgery, LUT rebuilds, route-memo
 /// flushes and deadlock recovery all interleave. The memoized core must
-/// stay bit-identical to the memo-off core and the dense reference
-/// throughout — a memo entry surviving a rebuild would diverge at the
-/// first stale route.
+/// stay bit-identical to the dense reference throughout — a memo entry
+/// surviving a rebuild would diverge at the first stale route.
 TEST(RouteMemo, KillRestoreThroughRepeatedDeadlockEpisodes) {
   const topo::KAryNCube topo(4, 2);
   const fault::FaultSchedule schedule({
@@ -229,10 +219,9 @@ TEST(RouteMemo, KillRestoreThroughRepeatedDeadlockEpisodes) {
       {1500, fault::FaultKind::LinkKill, 6, 2},
       {1800, fault::FaultKind::LinkRestore, 6, 2},
   });
-  const auto make = [&](SimCore core, bool memo) {
+  const auto make = [&](SimCore core) {
     SimulatorConfig cfg = default_config();
     cfg.core = core;
-    cfg.fastpath.route_memo = memo;
     cfg.limiter.kind = core::LimiterKind::None;
     cfg.net.num_vcs = 1;  // deadlocks repeatedly past saturation
     cfg.faults = schedule;
@@ -242,52 +231,47 @@ TEST(RouteMemo, KillRestoreThroughRepeatedDeadlockEpisodes) {
     auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 99);
     return std::make_unique<Simulator>(topo, cfg, std::move(workload));
   };
-  auto memo_on = make(SimCore::Active, true);
-  auto memo_off = make(SimCore::Active, false);
-  auto dense = make(SimCore::Dense, true);
+  auto memo = make(SimCore::Active);
+  auto dense = make(SimCore::Dense);
 
   for (int block = 0; block < 200; ++block) {
     for (int i = 0; i < 10; ++i) {
-      memo_on->step();
-      memo_off->step();
+      memo->step();
       dense->step();
     }
-    const Cycle at = memo_on->cycle();
-    for (const Simulator* other : {memo_off.get(), dense.get()}) {
-      const Network& a = memo_on->network();
-      const Network& b = other->network();
-      for (LinkId l = 0; l < a.num_links(); ++l) {
-        ASSERT_EQ(a.link(l).active_vc_mask, b.link(l).active_vc_mask)
-            << "link " << l << " cycle " << at;
-        for (unsigned v = 0; v < a.vcs_on(l); ++v) {
-          const VcRef ref{l, static_cast<std::uint8_t>(v)};
-          ASSERT_EQ(a.vc(ref).msg, b.vc(ref).msg)
-              << "vc " << l << "/" << v << " cycle " << at;
-          ASSERT_EQ(a.vc(ref).occupancy, b.vc(ref).occupancy)
-              << "vc " << l << "/" << v << " cycle " << at;
-        }
+    const Cycle at = memo->cycle();
+    const Network& a = memo->network();
+    const Network& b = dense->network();
+    for (LinkId l = 0; l < a.num_links(); ++l) {
+      ASSERT_EQ(a.link(l).active_vc_mask, b.link(l).active_vc_mask)
+          << "link " << l << " cycle " << at;
+      for (unsigned v = 0; v < a.vcs_on(l); ++v) {
+        const VcRef ref{l, static_cast<std::uint8_t>(v)};
+        ASSERT_EQ(a.vc(ref).msg, b.vc(ref).msg)
+            << "vc " << l << "/" << v << " cycle " << at;
+        ASSERT_EQ(a.vc(ref).occupancy, b.vc(ref).occupancy)
+            << "vc " << l << "/" << v << " cycle " << at;
       }
-      ASSERT_EQ(memo_on->total_delivered(), other->total_delivered())
-          << "cycle " << at;
-      ASSERT_EQ(memo_on->total_lost(), other->total_lost())
-          << "cycle " << at;
-      ASSERT_EQ(memo_on->total_deadlock_detections(),
-                other->total_deadlock_detections())
-          << "cycle " << at;
     }
+    ASSERT_EQ(memo->total_delivered(), dense->total_delivered())
+        << "cycle " << at;
+    ASSERT_EQ(memo->total_lost(), dense->total_lost()) << "cycle " << at;
+    ASSERT_EQ(memo->total_deadlock_detections(),
+              dense->total_deadlock_detections())
+        << "cycle " << at;
     std::string why;
-    ASSERT_TRUE(memo_on->check_fault_invariants(&why)) << why;
+    ASSERT_TRUE(memo->check_fault_invariants(&why)) << why;
   }
 
   // The soak exercised what it claims: all six fault events applied
   // (with a rebuild each), deadlock recovery fired across the episodes,
   // and the memo answered real queries between the flushes.
-  EXPECT_EQ(memo_on->fault_events_applied(), 6u);
-  EXPECT_EQ(memo_on->lut_rebuilds(), 6u);
+  EXPECT_EQ(memo->fault_events_applied(), 6u);
+  EXPECT_EQ(memo->lut_rebuilds(), 6u);
   EXPECT_EQ(dense->fault_events_applied(), 6u);
-  EXPECT_GT(memo_on->total_deadlock_detections(), 3u);
-  EXPECT_GT(memo_on->scan_stats().route_memo_hits, 0u);
-  EXPECT_EQ(memo_off->scan_stats().route_memo_hits, 0u);
+  EXPECT_GT(memo->total_deadlock_detections(), 3u);
+  EXPECT_GT(memo->scan_stats().route_memo_hits, 0u);
+  EXPECT_EQ(dense->scan_stats().route_memo_hits, 0u);
 }
 
 /// The memo under the shard-parallel evaluate/commit core: past
@@ -304,7 +288,6 @@ TEST(RouteMemo, ShardedCommitConflictsReplayMemoizedRoutesExactly) {
   const auto make = [&](unsigned shards) {
     SimulatorConfig cfg = default_config();
     cfg.core = SimCore::Active;
-    cfg.fastpath.route_memo = true;
     cfg.limiter.kind = core::LimiterKind::None;
     cfg.net.num_vcs = 1;  // deadlocks repeatedly past saturation
     cfg.shards = shards;
