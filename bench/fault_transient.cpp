@@ -18,7 +18,7 @@
 //                                of its pre-fault mean within this many
 //                                cycles of the kill
 //   post_rebuild_cps_ratio_min   simulation throughput on the degraded
-//                                network (2 dead links, rebuilt LUT)
+//                                network (2 dead links, rebuilt routes)
 //                                must stay within this fraction of the
 //                                healthy network's cycles/s
 #include <algorithm>
@@ -144,7 +144,7 @@ int run_transient_json(const char* path) {
   const TransientMetrics m = measure_transient(faulty);
 
   // Post-rebuild engine throughput: same point with the links dead (and
-  // the LUT rebuilt) from cycle 0, against the healthy network.
+  // the routes rebuilt) from cycle 0, against the healthy network.
   config::SimConfig degraded = healthy;
   degraded.sim.faults = fault::make_transient(topo, 2, 0, 0, healthy.seed);
   best_cps(healthy, 1);  // thermal/cache warmup, discarded

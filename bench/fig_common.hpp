@@ -29,12 +29,15 @@
 //   --online-window N     online recording-window width in cycles
 //                         (default 256, at least 1)
 //   --profile [N]         per-phase cycle-loop self-profiler, timing
-//                         every N-th cycle (bare flag: 64); results are
-//                         wall-clock and live under telemetry "perf"
+//                         every N-th cycle (N >= 1; bare flag: 64);
+//                         results are wall-clock and live under
+//                         telemetry "perf"
 //   --trace FILE          Chrome trace-event JSON (open in Perfetto)
+//   --trace-capacity N    tracer ring capacity in events (at least 1)
 //   --spatial-out PREFIX  per-channel/per-node heatmap CSVs from one
-//                         extra instrumented run (--spatial-load,
-//                         --spatial-limiter select the point)
+//                         extra instrumented run (--spatial-load >= 0,
+//                         --spatial-limiter none|alo|lf|dril select the
+//                         point)
 // Any other flag, or a value outside these ranges, is an error: the
 // binary names the flag on stderr and exits with status 2 before
 // running anything.

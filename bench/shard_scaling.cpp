@@ -18,9 +18,9 @@
 //     measure the scheduler — and emit no speedup criterion.
 //
 // The scale demo runs one low-load 32-ary 3-cube sweep point end to
-// end through the standard experiment harness (the LUT auto-degrades
-// to passthrough above its size budget; the memory estimate is
-// reported alongside).
+// end through the standard experiment harness (routes are computed
+// from coordinate digits at any size; the memory estimate is reported
+// alongside).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

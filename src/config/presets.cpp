@@ -61,20 +61,20 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   f.network_bytes = links * sizeof(sim::Link) +
                     slots * sizeof(sim::VcState) +
                     nodes * net.eje_channels * sizeof(sim::EjectPort);
-  // Tabulated routing: one packed 4-byte entry per (node, dst) pair.
-  // Above kMaxEntries the LUT silently degrades to passthrough (no
-  // allocation), and validate() rejects fault schedules there.
+  // Computed routing: one coordinate-digit row per node. A fault
+  // schedule adds the word table its first kill tabulates (validate()
+  // bounds it by kMaxEntries).
   const bool active = cfg.sim.core == sim::SimCore::Active;
   if (active || !cfg.sim.faults.empty()) {
-    if (nodes * nodes <= routing::RoutingLut::kMaxEntries) {
-      f.lut_bytes = nodes * nodes * 4;
+    f.lut_bytes = nodes * cfg.n * sizeof(std::uint16_t);
+    if (!cfg.sim.faults.empty()) {
+      f.lut_bytes += nodes * nodes * sizeof(routing::RoutingLut::Word);
     }
   }
   // SoA status rows: per-net-link free/admissible masks and epoch
-  // counters, plus the per-slot slot->router map and both halves of the
-  // route memo (hot key + cold cached route). The per-message progress
-  // array grows with the message pool, which this estimate leaves out
-  // like the pool itself.
+  // counters, plus the per-slot slot->router map and route memo. The
+  // per-message progress array grows with the message pool, which this
+  // estimate leaves out like the pool itself.
   f.status_bytes = net_links * (sizeof(std::uint8_t) * 2 +
                                 sizeof(std::uint64_t)) +
                    slots * sizeof(topo::NodeId);
@@ -139,19 +139,20 @@ void validate(const SimConfig& cfg) {
     if (cfg.sim.algorithm != routing::Algorithm::TFAR) {
       throw std::invalid_argument(
           "fault schedules require TFAR routing (the only algorithm with a "
-          "reachability-aware LUT rebuild)");
+          "reachability-aware route rebuild)");
     }
     const std::uint64_t nodes = topo.num_nodes();
     if (nodes * nodes > routing::RoutingLut::kMaxEntries) {
       // Refuse up front with the arithmetic instead of letting a 32k-node
-      // config attempt a multi-gigabyte LUT tabulation.
+      // config attempt a multi-gigabyte fault-aware route table.
       throw std::invalid_argument(
           "fault schedules need a tabulable network: " +
           std::to_string(nodes) + " nodes would need a " +
-          std::to_string(nodes * nodes * 4 / (1024 * 1024)) +
-          " MiB routing LUT, over the " +
-          std::to_string(routing::RoutingLut::kMaxEntries * 4 /
+          std::to_string(nodes * nodes * sizeof(routing::RoutingLut::Word) /
                          (1024 * 1024)) +
+          " MiB fault-aware route table, over the " +
+          std::to_string(routing::RoutingLut::kMaxEntries *
+                         sizeof(routing::RoutingLut::Word) / (1024 * 1024)) +
           " MiB budget; shrink the network or drop the fault schedule");
     }
     fault::validate(cfg.sim.faults, topo);

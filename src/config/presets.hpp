@@ -41,7 +41,7 @@ void validate(const SimConfig& cfg);
 struct MemoryFootprint {
   std::uint64_t nodes = 0;
   std::uint64_t network_bytes = 0;     // links, VC state, eject ports
-  std::uint64_t lut_bytes = 0;         // tabulated routing (0 = passthrough)
+  std::uint64_t lut_bytes = 0;         // route digit rows (+ fault table)
   std::uint64_t status_bytes = 0;      // per-link status rows + route memo
   std::uint64_t active_set_bytes = 0;  // bitmap index sets + gen bookkeeping
   std::uint64_t total_bytes() const noexcept {

@@ -1,5 +1,6 @@
 #include "harness/telemetry.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <optional>
 #include <ostream>
@@ -334,26 +335,56 @@ void capture_spatial(const config::SimConfig& base, core::LimiterKind limiter,
   });
 }
 
+namespace {
+
+/// --profile's value: bare flag (parsed as "true") means every 64th
+/// cycle, otherwise a positive decimal period. Anything else — zero, a
+/// sign, trailing characters, overflow — is rejected naming the flag.
+std::uint64_t profile_period_flag(const std::string& v) {
+  if (v == "true") return 64;
+  std::uint64_t period = 0;
+  const char* const end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, period);
+  if (v.empty() || ec != std::errc{} || ptr != end || period == 0) {
+    reject_flag("profile",
+                "expects a positive cycle period (bare --profile: 64)");
+  }
+  return period;
+}
+
+}  // namespace
+
 ObsSession::ObsSession(const util::ArgParser& args)
     : metrics_path_(args.get_string("metrics-out", "")),
       timeseries_path_(args.get_string("timeseries-out", "")),
       trace_path_(args.get_string("trace", "")),
       spatial_prefix_(args.get_string("spatial-out", "")),
-      spatial_limiter_(args.get_string("spatial-limiter", "none")),
       spatial_load_(args.get_double("spatial-load", 1.2)),
       online_window_(args.get_uint("online-window", 256)),
       profile_period_(0) {
+  // Every value is checked here, before any simulation runs, so a bad
+  // flag exits 2 instead of surfacing after the sweep.
   if (online_window_ == 0) {
     reject_flag("online-window", "must be at least 1 cycle");
   }
+  if (!(spatial_load_ >= 0.0)) {
+    reject_flag("spatial-load", "must be a load >= 0");
+  }
+  try {
+    spatial_limiter_ =
+        core::parse_limiter(args.get_string("spatial-limiter", "none"));
+  } catch (const std::invalid_argument&) {
+    reject_flag("spatial-limiter", "must be one of none, alo, lf, dril");
+  }
   if (args.has("profile")) {
-    // Bare "--profile" parses as the string "true": default period 64.
-    const std::string v = args.get_string("profile", "true");
-    profile_period_ = v == "true" ? 64 : std::stoull(v);
+    profile_period_ = profile_period_flag(args.get_string("profile", "true"));
   }
   // Read unconditionally so the flag counts as known either way.
   const auto trace_capacity = static_cast<std::size_t>(
       args.get_uint("trace-capacity", std::size_t{1} << 16));
+  if (trace_capacity == 0) {
+    reject_flag("trace-capacity", "must be at least 1 event");
+  }
   if (!trace_path_.empty() || !metrics_path_.empty()) {
     tracer_ = std::make_unique<obs::Tracer>(trace_capacity);
   }
@@ -396,8 +427,8 @@ void ObsSession::finish(const SweepSpec& spec,
               static_cast<unsigned long long>(tracer_->events_dropped()));
   }
   if (!spatial_prefix_.empty()) {
-    capture_spatial(spec.base, core::parse_limiter(spatial_limiter_),
-                    spatial_load_, spatial_prefix_);
+    capture_spatial(spec.base, spatial_limiter_, spatial_load_,
+                    spatial_prefix_);
   }
 }
 

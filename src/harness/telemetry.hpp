@@ -21,16 +21,21 @@
 // by every bench/example:
 //   --metrics-out FILE     JSONL telemetry (one record per point)
 //   --timeseries-out FILE  wormsim.timeseries/1 JSONL (windowed series)
-//   --online-window N      recording-window width in cycles (default 256)
+//   --online-window N      recording-window width in cycles (default 256,
+//                          at least 1)
 //   --profile [N]          per-phase cycle-loop profiler, sampling every
-//                          N cycles (default 64); reported under "perf"
+//                          N >= 1 cycles (bare flag: 64); under "perf"
 //   --trace FILE           Chrome trace-event JSON (Perfetto-loadable)
-//   --trace-capacity N     per-thread tracer ring capacity (default 64k)
+//   --trace-capacity N     per-thread tracer ring capacity (default 64k,
+//                          at least 1)
 //   --spatial-out PREFIX   after the sweep, run one instrumented
 //                          simulation and write PREFIX_channels.csv,
 //                          PREFIX_nodes.csv, PREFIX_vc_occupancy.csv
-//   --spatial-load X       offered load for that run (default 1.2)
-//   --spatial-limiter M    mechanism for that run (default none)
+//   --spatial-load X       offered load for that run (default 1.2, >= 0)
+//   --spatial-limiter M    mechanism for that run: none (default), alo,
+//                          lf or dril
+// The constructor validates every value, so a bad one exits 2 naming
+// the flag (harness::reject_flag) before any simulation runs.
 //
 // Telemetry (--metrics-out) or timeseries (--timeseries-out) enable the
 // per-point online statistics: point records gain "latency_hist" (the
@@ -96,8 +101,8 @@ class ObsSession {
   std::string timeseries_path_;
   std::string trace_path_;
   std::string spatial_prefix_;
-  std::string spatial_limiter_;
   double spatial_load_;
+  core::LimiterKind spatial_limiter_ = core::LimiterKind::None;
   std::uint64_t online_window_;
   std::uint64_t profile_period_;
   std::unique_ptr<obs::Tracer> tracer_;

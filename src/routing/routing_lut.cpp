@@ -8,67 +8,26 @@ namespace wormsim::routing {
 using topo::ChannelId;
 using topo::NodeId;
 
-RoutingLut::RoutingLut(const RoutingFunction& fn, const topo::KAryNCube& topo,
-                       std::size_t max_entries)
-    : fn_(&fn),
-      topo_(&topo),
+RoutingLut::RoutingLut(const RoutingFunction& fn, const topo::KAryNCube& topo)
+    : topo_(&topo),
       algo_(fn.algorithm()),
       num_vcs_(fn.num_vcs()),
-      nodes_(topo.num_nodes()) {
-  const std::size_t pairs =
-      static_cast<std::size_t>(nodes_) * static_cast<std::size_t>(nodes_);
-  if (pairs > max_entries) return;  // passthrough mode
-
-  entries_.resize(pairs);
-  tabulate();
-}
-
-void RoutingLut::tabulate() {
-  RouteResult r;
-  for (NodeId here = 0; here < nodes_; ++here) {
-    for (NodeId dst = 0; dst < nodes_; ++dst) {
-      Entry& e = entries_[static_cast<std::size_t>(here) * nodes_ + dst];
-      if (here == dst) {
-        e = Entry{};
-        continue;  // route() precondition: here != dst
-      }
-      fn_->route(here, dst, r);
-      e.useful = static_cast<std::uint16_t>(r.useful_phys_mask);
-      e.det_channel = 0;
-      e.det_class = 0;
-      switch (algo_) {
-        case Algorithm::TFAR:
-          break;  // fully determined by the useful mask
-        case Algorithm::DOR: {
-          const Candidate& c = r.candidates[0];
-          e.det_channel = c.channel;
-          e.det_class = c.vc_mask == 0b1u ? 0 : 1;
-          break;
-        }
-        case Algorithm::Duato: {
-          const Candidate& esc = r.candidates[r.candidates.size() - 1];
-          e.det_channel = esc.channel;
-          e.det_class = esc.vc_mask == 0b01u ? 0 : 1;
-          break;
-        }
-      }
+      nodes_(topo.num_nodes()),
+      dims_(topo.dims()),
+      radix_(topo.radix()),
+      digits_(static_cast<std::size_t>(nodes_) * dims_) {
+  for (NodeId node = 0; node < nodes_; ++node) {
+    const topo::Coords c = topo.coords_of(node);
+    for (unsigned d = 0; d < dims_; ++d) {
+      digits_[static_cast<std::size_t>(node) * dims_ + d] = c[d];
     }
   }
 }
 
 void RoutingLut::rebuild(const topo::FaultMask* faults) {
-  const bool faulty = faults != nullptr && faults->any();
-  if (entries_.empty()) {
-    if (faulty) {
-      throw std::invalid_argument(
-          "RoutingLut::rebuild: passthrough mode cannot route around faults");
-    }
-    return;
-  }
-  if (!faulty) {
-    // Restore path: re-run the construction-time tabulation so the
-    // healthy table comes back bit-exact.
-    tabulate();
+  if (faults == nullptr || !faults->any()) {
+    // Healthy again: the computed words are the original routes.
+    std::vector<Word>().swap(entries_);
     return;
   }
   if (algo_ != Algorithm::TFAR) {
@@ -76,6 +35,14 @@ void RoutingLut::rebuild(const topo::FaultMask* faults) {
         "RoutingLut::rebuild: fault-aware routes require TFAR (deterministic "
         "algorithms have no alternative paths to bend around faults)");
   }
+  const std::size_t pairs =
+      static_cast<std::size_t>(nodes_) * static_cast<std::size_t>(nodes_);
+  if (pairs > kMaxEntries) {
+    throw std::invalid_argument(
+        "RoutingLut::rebuild: network too large for the fault-aware route "
+        "table");
+  }
+  entries_.resize(pairs);
 
   // One reverse BFS per destination over the alive graph. On a healthy
   // torus the BFS distance equals the minimal hop distance, so the
@@ -111,7 +78,7 @@ void RoutingLut::rebuild(const topo::FaultMask* faults) {
       frontier.swap(next);
     }
     for (NodeId here = 0; here < nodes_; ++here) {
-      Entry& e = entries_[static_cast<std::size_t>(here) * nodes_ + dst];
+      Word& e = entries_[static_cast<std::size_t>(here) * nodes_ + dst];
       e.det_channel = 0;
       e.det_class = 0;
       std::uint32_t useful = 0;
@@ -130,7 +97,7 @@ void RoutingLut::rebuild(const topo::FaultMask* faults) {
   }
 }
 
-void RoutingLut::expand(const Entry& e, RouteResult& out) const {
+void RoutingLut::expand(Word e, RouteResult& out) const {
   out.clear();
   const std::uint32_t mask = e.useful;
   out.useful_phys_mask = mask;

@@ -53,14 +53,11 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
   if (cfg.routing_delay < 1 || cfg.routing_delay > 8) {
     throw std::invalid_argument("routing_delay must be in [1, 8]");
   }
-  // The routing LUT and the route memo are active-core properties: the
-  // dense core routes through the virtual function and re-evaluates
-  // every blocked header, so the byte-identity tests double as a
-  // differential check of both.
+  // Computed route words and the route memo are active-core
+  // properties: the dense core routes through the virtual function and
+  // re-evaluates every blocked header, so the byte-identity tests
+  // double as a differential check of both.
   const bool active = cfg_.core == SimCore::Active;
-  if (active) {
-    lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
-  }
   if (!cfg_.faults.empty()) {
     fault::validate(cfg_.faults, topo_);
     if (cfg_.algorithm != routing::Algorithm::TFAR) {
@@ -68,26 +65,24 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
           "fault schedules require TFAR routing (reconfiguration has no "
           "alternative paths under a deterministic algorithm)");
     }
-    // Reconfiguration routes around failures by rebuilding the LUT, so
-    // the table must exist in either core — the dense core included,
-    // or the two cores would diverge the moment a fault fires. The LUT
-    // is bit-identical to the wrapped function, so forcing it here
-    // cannot perturb pre-fault behavior.
-    if (!lut_) {
-      lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
-    }
-    if (!lut_->tabulated()) {
+    // Reconfiguration tabulates BFS routes around the failures, so the
+    // table must fit, and the dense core routes through it too — or the
+    // two cores would diverge the moment a fault fires. Healthy words
+    // are bit-identical to the wrapped function, so routing through the
+    // RoutingLut cannot perturb pre-fault behavior.
+    const std::uint64_t nodes = topo_.num_nodes();
+    if (nodes * nodes > routing::RoutingLut::kMaxEntries) {
       throw std::invalid_argument(
           "fault schedules need a tabulable network (too many nodes for "
-          "the routing-LUT budget)");
+          "the fault-aware route table budget)");
     }
     faults_ = std::make_unique<fault::FaultManager>(topo_, cfg_.faults);
   }
-  memo_on_ = active;
-  if (memo_on_) {
-    route_memo_.resize(net_.num_vc_slots());
-    route_memo_route_.resize(net_.num_vc_slots());
+  if (active || faults_) {
+    lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
   }
+  memo_on_ = active;
+  if (memo_on_) route_memo_.resize(net_.num_vc_slots());
   limiter_reads_route_ = limiter_->reads_route();
   // Flow-control scheme and its capability bits, resolved once: the
   // cycle loop consults the scheme object only where a bit says it can
@@ -158,7 +153,7 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
 }
 
 std::size_t Simulator::route_memo_entry_bytes() noexcept {
-  return sizeof(RouteMemo) + sizeof(routing::RouteResult);
+  return sizeof(RouteMemo);
 }
 
 void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
@@ -765,28 +760,33 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   const std::size_t slot = e.slot;
   const NodeId node = vc_node_[slot];
 
-  // Route lookup. The memo slot caches this VC's candidate list — a
-  // pure function of (node, dst), node being fixed per slot, so an
-  // entry even survives across tenancies and is keyed by dst alone.
-  // When additionally no candidate link's free-VC mask changed since
-  // the last failed selection (equal epoch sum), the header is
-  // provably still blocked and selection is skipped as well. The
-  // tenancy key memo->msg marks a header already observed blocked in
-  // transit this tenancy: its retries touch neither the Message
-  // record nor the destination check (both settled on first sight).
+  // Route lookup. The memo slot keys this VC's route by dst — a pure
+  // function of (node, dst), node being fixed per slot, so a known
+  // route even survives across tenancies — and keeps only its
+  // candidate-channel mask. When additionally no candidate link's
+  // free-VC mask changed since the last failed selection (equal epoch
+  // sum), the header is provably still blocked and selection is
+  // skipped as well. The tenancy key memo->msg marks a header already
+  // observed blocked in transit this tenancy: its retries touch
+  // neither the Message record nor the destination check (both
+  // settled on first sight). The route itself is expanded from its
+  // computed word into route_buf_ only when the visit reaches the
+  // probe, selection or the FC3D check.
   RouteMemo* memo = nullptr;
-  const routing::RouteResult* route = &route_buf_;
+  NodeId dst = topo::kInvalidNode;
+  bool expanded = false;  // route_buf_ holds route(node, dst)
   std::uint64_t epoch_sum = 0;
   bool still_blocked = false;
   if (memo_on_ && route_memo_[slot].msg == v.msg) {
     memo = &route_memo_[slot];
     ++scan_.route_memo_hits;
-    route = &route_memo_route_[slot];
+    dst = memo->dst;
     epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
     still_blocked = epoch_sum == memo->epoch_sum;
   } else {
     Message& m = pool_[v.msg];
-    if (node == m.dst) {
+    dst = m.dst;
+    if (node == dst) {
       m.at_destination = true;
       const int port = net_.find_free_eject_port(node);
       if (port < 0) return false;  // wait for an ejection channel
@@ -802,26 +802,33 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     }
     if (memo_on_) {
       memo = &route_memo_[slot];
-      routing::RouteResult& cached = route_memo_route_[slot];
-      if (memo->dst == m.dst) {
+      if (memo->dst == dst) {
         ++scan_.route_memo_hits;
       } else {
-        route_at(node, m.dst, cached);
-        memo->dst = m.dst;
+        route_at(node, dst, route_buf_);
+        expanded = true;
+        memo->dst = dst;
         memo->epoch_sum = kNoEpoch;
-        memo->cand_mask = candidate_channel_mask(cached);
+        memo->cand_mask = candidate_channel_mask(route_buf_);
       }
-      route = &cached;
       epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
       still_blocked = epoch_sum == memo->epoch_sum;
     } else {
-      route_at(node, m.dst, route_buf_);
+      route_at(node, dst, route_buf_);
+      expanded = true;
     }
   }
+  const auto route = [&]() -> const routing::RouteResult& {
+    if (!expanded) {
+      route_lookup(node, dst, route_buf_);
+      expanded = true;
+    }
+    return route_buf_;
+  };
   if (probe_enabled_ && !v.probed) {
     v.probed = true;
     const auto cond = core::evaluate_alo(
-        fc_status_row(node), net_.params().num_vcs, route->useful_phys_mask);
+        fc_status_row(node), net_.params().num_vcs, route().useful_phys_mask);
     collector_.on_probe(t, cond.all_useful_partially_free,
                         cond.any_useful_completely_free);
     if (tracer_) {
@@ -837,7 +844,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   // selection (and the memo's still-blocked proof stays exact: the
   // admission verdict is a constant of the tenancy).
   if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
-    pick = selector_.select(*route, net_.free_mask_row(node), alloc_rr_[node]);
+    pick = selector_.select(route(), net_.free_mask_row(node), alloc_rr_[node]);
   }
   if (!pick) {
     if (memo != nullptr) {
@@ -868,7 +875,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       Cycle earliest = 0;
       if (t - progress < threshold) {
         if (memo != nullptr) memo->no_detect_before = progress + threshold;
-      } else if (requested_channels_frozen(node, t, *route, &earliest)) {
+      } else if (requested_channels_frozen(node, t, route(), &earliest)) {
         absorb_deadlocked(v.msg, t);
         pending_route_[i] = pending_route_.back();
         pending_route_.pop_back();
@@ -952,7 +959,8 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
   const NodeId node = vc_node_[slot];
 
   const RouteMemo* memo = nullptr;
-  const routing::RouteResult* route = &lane.route_scratch;
+  NodeId dst = topo::kInvalidNode;
+  bool expanded = false;  // lane.route_scratch holds route(node, dst)
   std::uint64_t epoch_sum = 0;
   bool still_blocked = false;
   // memo->no_detect_before as the detection ladder would read it: the
@@ -961,13 +969,14 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
   if (memo_on_ && route_memo_[slot].msg == v.msg) {
     memo = &route_memo_[slot];
     d.hits = 1;
-    route = &route_memo_route_[slot];
+    dst = memo->dst;
     epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
     still_blocked = epoch_sum == memo->epoch_sum;
     ndb_now = memo->no_detect_before;
   } else {
     const Message& m = pool_[v.msg];
-    if (node == m.dst) {
+    dst = m.dst;
+    if (node == dst) {
       d.msg = v.msg;
       const int port = net_.find_free_eject_port(node);
       if (port < 0) {
@@ -980,16 +989,16 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
     }
     if (memo_on_) {
       memo = &route_memo_[slot];
-      if (memo->dst == m.dst) {
+      if (memo->dst == dst) {
         d.hits = 1;
-        route = &route_memo_route_[slot];
         epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
         still_blocked = epoch_sum == memo->epoch_sum;
       } else {
         d.evals = 1;
-        route_lookup(node, m.dst, lane.route_scratch);
+        route_lookup(node, dst, lane.route_scratch);
+        expanded = true;
         d.fresh_route = true;
-        d.dst = m.dst;
+        d.dst = dst;
         d.cand_mask = candidate_channel_mask(lane.route_scratch);
         epoch_sum = candidate_epoch_sum(node, d.cand_mask);
         // The sequential body compares against the kNoEpoch it just
@@ -998,20 +1007,28 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
       }
     } else {
       d.evals = 1;
-      route_lookup(node, m.dst, lane.route_scratch);
+      route_lookup(node, dst, lane.route_scratch);
+      expanded = true;
     }
   }
+  const auto route = [&]() -> const routing::RouteResult& {
+    if (!expanded) {
+      route_lookup(node, dst, lane.route_scratch);
+      expanded = true;
+    }
+    return lane.route_scratch;
+  };
   if (probe_enabled_ && !v.probed) {
     d.probe = true;
     const auto cond =
         core::evaluate_alo(fc_status_row_into(node, lane.fc_row.data()),
-                           net_.params().num_vcs, route->useful_phys_mask);
+                           net_.params().num_vcs, route().useful_phys_mask);
     d.probe_a = cond.all_useful_partially_free;
     d.probe_b = cond.any_useful_completely_free;
   }
   std::optional<routing::Pick> pick;
   if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
-    pick = selector_.select(*route, net_.free_mask_row(node), alloc_rr_[node]);
+    pick = selector_.select(route(), net_.free_mask_row(node), alloc_rr_[node]);
   }
   if (!pick) {
     d.kind = RouteDecKind::Blocked;
@@ -1041,7 +1058,7 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
           d.write_ndb = true;
           d.ndb = progress + threshold;
         }
-      } else if (requested_channels_frozen(node, t, *route, &earliest)) {
+      } else if (requested_channels_frozen(node, t, route(), &earliest)) {
         d.kind = RouteDecKind::Absorb;
       } else if (memo != nullptr) {
         d.write_ndb = true;
@@ -1054,9 +1071,6 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
     d.channel = pick->channel;
     d.vc = pick->vc;
   }
-  // The scratch route survives only until this lane's next entry: keep
-  // a copy when the commit must install it into the memo.
-  if (d.fresh_route) d.route = lane.route_scratch;
 }
 
 void Simulator::route_evaluate(Cycle t) {
@@ -1138,7 +1152,6 @@ void Simulator::route_commit(Cycle t) {
         if (memo_on_) {
           RouteMemo& memo = route_memo_[e.slot];
           if (d.fresh_route) {
-            route_memo_route_[e.slot] = d.route;
             memo.dst = d.dst;
             memo.epoch_sum = kNoEpoch;
             memo.cand_mask = d.cand_mask;
@@ -1174,7 +1187,6 @@ void Simulator::route_commit(Cycle t) {
         if (memo_on_) {
           RouteMemo& memo = route_memo_[e.slot];
           if (d.fresh_route) {
-            route_memo_route_[e.slot] = d.route;
             memo.dst = d.dst;
             memo.epoch_sum = kNoEpoch;
             memo.cand_mask = d.cand_mask;
@@ -1441,8 +1453,8 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     req.head_wait = t - head_since_[node];
     req.queue_len = queues_[node].size();
     // Gate decision. Limiters that never read the route (None, DRIL)
-    // skip the routing step; the rest route through route_at (the LUT
-    // in the active core).
+    // skip the routing step; the rest route through route_at (computed
+    // route words in the active core).
     if (limiter_reads_route_) {
       route_at(node, pm.dst, route_buf_);
       req.route = &route_buf_;
@@ -1755,9 +1767,10 @@ void Simulator::apply_faults(Cycle t) {
     if (e.kind == fault::FaultKind::NodeKill) kill_node_state(e.node, t);
   }
   sync_dead_links(t);
-  // O(table) reconfiguration: retabulate the LUT on the alive graph,
-  // bump every link epoch and flush the route memo, so every blocked
-  // header re-routes against the new table next phase_route.
+  // Reconfiguration: tabulate BFS routes on the alive graph (or drop
+  // the table once healthy), bump every link epoch and flush the route
+  // memo, so every blocked header re-routes against the new routes
+  // next phase_route.
   lut_->rebuild(&faults_->mask());
   ++lut_rebuilds_;
   net_.bump_all_epochs();

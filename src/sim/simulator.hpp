@@ -79,15 +79,15 @@ struct SimulatorConfig {
   /// Deterministic fault schedule (empty = no fault subsystem at all:
   /// the cycle loop's only cost is one branch on a null manager).
   /// Non-empty schedules require TFAR routing and a tabulable network —
-  /// reconfiguration routes around failures by rebuilding the LUT.
+  /// reconfiguration tabulates BFS routes around the failures.
   fault::FaultSchedule faults{};
   /// Flow-control scheme gating flit advance and VC admission
   /// (default: the paper's wormhole model).
   FlowControlConfig flow{};
-  /// The active core always answers route queries from the routing LUT
-  /// (when the network is tabulable) and caches blocked headers in the
-  /// route memo; the dense core uses neither, which is what makes
-  /// test_core_equivalence a differential test of both.
+  /// The active core always answers route queries from computed route
+  /// words and caches blocked headers in the route memo; the dense core
+  /// uses neither, which is what makes test_core_equivalence a
+  /// differential test of both.
   SimCore core = SimCore::Active;
   /// Shard the single simulation across threads (active core only):
   /// the node/link bitmaps are partitioned into contiguous 64-bit-word
@@ -117,7 +117,7 @@ struct CoreScanStats {
   std::uint64_t scan_total = 0;        // entries a dense scan would execute
   std::uint64_t active_links_sum = 0;  // tenant links, summed per cycle
   std::uint64_t active_nodes_sum = 0;  // injection-active nodes, per cycle
-  std::uint64_t route_evals = 0;       // routing-function/LUT evaluations
+  std::uint64_t route_evals = 0;       // routes computed (memo misses)
   std::uint64_t route_memo_hits = 0;   // blocked-header re-routes avoided
   std::uint64_t commit_decisions = 0;  // speculative decisions replayed
   std::uint64_t commit_conflicts = 0;  // decisions invalidated -> re-run
@@ -444,8 +444,9 @@ class Simulator {
                                  const routing::RouteResult& route,
                                  Cycle* earliest) const;
 
-  /// Route query shared by both cores: LUT when tabulated, virtual
-  /// routing function otherwise. Counts into scan_.route_evals.
+  /// Route query shared by both cores: the RoutingLut's route word when
+  /// present, the virtual routing function otherwise. Counts into
+  /// scan_.route_evals.
   void route_at(NodeId node, NodeId dst, routing::RouteResult& out) {
     ++scan_.route_evals;
     route_lookup(node, dst, out);
@@ -575,11 +576,11 @@ class Simulator {
   std::unique_ptr<routing::RoutingFunction> routing_;
   routing::Selector selector_;
   std::unique_ptr<core::InjectionLimiter> limiter_;
-  /// Tabulated routing (active core; null in the dense core — route_at
-  /// then falls back to the virtual function). Always
-  /// built, in either core, when a fault schedule is present:
-  /// reconfiguration works by rebuilding this table, and both cores
-  /// must route from the same one to stay bit-identical.
+  /// Computed route words (active core; null in the dense core —
+  /// route_at then falls back to the virtual function). Always built,
+  /// in either core, when a fault schedule is present: reconfiguration
+  /// tabulates its fault-aware routes, and both cores must route from
+  /// the same ones to stay bit-identical.
   std::unique_ptr<routing::RoutingLut> lut_;
   std::unique_ptr<traffic::Workload> workload_;
   /// Null when cfg.faults is empty — the provably-no-op fast path, like
@@ -620,16 +621,15 @@ class Simulator {
   util::SmallVector<traffic::GeneratedMessage, 8> gen_buf_;
 
   // --- Saturated-regime fast path (active core only) -------------------
-  /// Per-VC-slot route memo for blocked headers, split hot/cold: the
-  /// 32-byte key below is all the parked check reads (most route visits
-  /// under saturation end there), while the cached RouteResult lives in
-  /// the parallel route_memo_route_ array, read only by headers that
-  /// are actually re-evaluated. The cached route is a pure function of
-  /// (node, dst) — node is fixed per slot — so an entry stays valid
-  /// across tenancies; `dst` is the lookup key. `epoch_sum` snapshots
-  /// candidate_epoch_sum at the last failed selection: while it is
-  /// unchanged the header is still blocked and both the route and the
-  /// selection are skipped.
+  /// Per-VC-slot route memo for blocked headers: 32 bytes, all the
+  /// parked check reads (most route visits under saturation end
+  /// there). A route is a pure function of (node, dst) — node is fixed
+  /// per slot — so an entry stays valid across tenancies with `dst` as
+  /// the key; the route itself is never stored, only its candidate
+  /// mask, and is re-expanded from its computed word when a visit
+  /// needs it. `epoch_sum` snapshots candidate_epoch_sum at the last
+  /// failed selection: while it is unchanged the header is still
+  /// blocked and both the route and the selection are skipped.
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
   struct RouteMemo {
     /// Tenancy key: set when this slot's header blocks, cleared when
@@ -638,10 +638,10 @@ class Simulator {
     /// blocked-in-transit retry and the Message record and eject check
     /// are skipped entirely.
     MsgId msg = kNoMsg;
-    /// Route key: the cached candidates are valid for any tenancy with
-    /// this destination (routing is a pure function of (node, dst)).
+    /// Route key: cand_mask is valid for any tenancy with this
+    /// destination (routing is a pure function of (node, dst)).
     NodeId dst = topo::kInvalidNode;
-    /// Union of route.candidates channels, the epoch-sum footprint.
+    /// Union of the route's candidate channels, the epoch-sum footprint.
     std::uint32_t cand_mask = 0;
     /// candidate_epoch_sum at the last failed selection; equal sum ⇒
     /// no candidate mask changed ⇒ provably still blocked.
@@ -654,8 +654,6 @@ class Simulator {
   };
   static_assert(sizeof(RouteMemo) <= 32, "route-memo key outgrew 32 B");
   std::vector<RouteMemo> route_memo_;  // empty in the dense core
-  /// Cached candidates of route_memo_[slot]'s `dst` (cold half).
-  std::vector<routing::RouteResult> route_memo_route_;
   /// Router node owning each VC slot's output side (the link's dst),
   /// indexed like route_memo_ — replaces a Link load in phase_route.
   std::vector<NodeId> vc_node_;
@@ -749,7 +747,7 @@ class Simulator {
     std::uint8_t evals = 0;        // scan_.route_evals delta
     std::uint8_t hits = 0;         // scan_.route_memo_hits delta
     std::uint8_t vc = 0;           // Alloc: picked VC
-    bool fresh_route = false;      // memo: store route/dst/cand_mask
+    bool fresh_route = false;      // memo: store dst/cand_mask
     bool write_epoch = false;      // memo: store epoch_sum
     bool tenancy_reset = false;    // memo: store msg, clear ndb
     bool write_ndb = false;        // memo: store ndb
@@ -763,7 +761,6 @@ class Simulator {
     std::uint32_t cand_mask = 0;       // fresh_route: epoch footprint
     std::uint64_t epoch_sum = 0;       // write_epoch payload
     Cycle ndb = 0;                     // write_ndb payload
-    routing::RouteResult route;        // valid iff fresh_route
   };
   /// One per-link transmit decision: the VC whose flit advances across
   /// `link` this cycle (vcn == -1: arbitration found nothing to send —
@@ -835,7 +832,7 @@ class Simulator {
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_total_ = 0;    // dropped by fault reconfiguration
   std::uint64_t fault_events_ = 0;  // schedule events applied
-  std::uint64_t lut_rebuilds_ = 0;  // fault-triggered retabulations
+  std::uint64_t lut_rebuilds_ = 0;  // fault-triggered route rebuilds
   std::vector<fault::FaultEvent> fault_buf_;
   std::vector<std::pair<deadlock::NodeId, deadlock::MsgId>> purge_buf_;
   bool probe_enabled_ = true;

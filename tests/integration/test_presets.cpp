@@ -65,6 +65,44 @@ TEST(Presets, BuildSimulatorProducesRunnableInstance) {
   EXPECT_GT(sim->collector().finish(64).messages_generated, 0u);
 }
 
+/// Routing state is O(nodes): one coordinate-digit row per node and a
+/// 32-byte memo key per VC slot. Only a fault schedule adds the
+/// O(nodes^2) word table its first kill tabulates.
+TEST(Presets, MemoryEstimateCountsDigitRowsAndMemoKeys) {
+  EXPECT_LE(sim::Simulator::route_memo_entry_bytes(), 32u);
+
+  config::SimConfig cfg = config::paper_base();  // 512 nodes, 3 VCs
+  const std::uint64_t nodes = 512;
+  const std::uint64_t net_links = nodes * 2 * cfg.n;
+  const std::uint64_t slots =
+      net_links * cfg.sim.net.num_vcs + nodes * cfg.sim.net.inj_channels;
+  const config::MemoryFootprint active = config::estimate_memory(cfg);
+  EXPECT_EQ(active.lut_bytes, nodes * cfg.n * sizeof(std::uint16_t));
+  EXPECT_EQ(active.status_bytes,
+            net_links * (2 + sizeof(std::uint64_t)) +
+                slots * sizeof(topo::NodeId) +
+                slots * sim::Simulator::route_memo_entry_bytes());
+
+  cfg.sim.core = sim::SimCore::Dense;  // virtual routing, no memo
+  const config::MemoryFootprint dense = config::estimate_memory(cfg);
+  EXPECT_EQ(dense.lut_bytes, 0u);
+  EXPECT_EQ(dense.status_bytes, net_links * (2 + sizeof(std::uint64_t)) +
+                                    slots * sizeof(topo::NodeId));
+
+  cfg.sim.core = sim::SimCore::Active;
+  const topo::KAryNCube topo(cfg.k, cfg.n);
+  cfg.sim.faults = fault::make_transient(topo, 2, 100, 100, 7);
+  EXPECT_EQ(config::estimate_memory(cfg).lut_bytes,
+            active.lut_bytes + nodes * nodes * 4);
+
+  // The 32,768-node cube carries 192 KiB of digit rows, not the
+  // 4 GiB an N^2 table would need.
+  config::SimConfig big = config::paper_base();
+  big.k = 32;
+  EXPECT_EQ(config::estimate_memory(big).lut_bytes,
+            32768u * 3 * sizeof(std::uint16_t));
+}
+
 TEST(Sweep, LoadRange) {
   const auto r = harness::load_range(0.1, 0.5, 5);
   ASSERT_EQ(r.size(), 5u);

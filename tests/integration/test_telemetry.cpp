@@ -333,5 +333,75 @@ TEST(ObsSessionFlags, ZeroOnlineWindowRejectedWithStatus2) {
               "--online-window must be at least 1 cycle");
 }
 
+// --profile takes a positive period or nothing (64). Zero, a sign or a
+// word is a typo, never a request to switch profiling off, so each one
+// exits 2 naming the flag.
+TEST(ObsSessionFlags, ZeroProfilePeriodRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--profile", "0"};
+  EXPECT_EXIT(ObsSession session(util::ArgParser(3, argv)),
+              ::testing::ExitedWithCode(2),
+              "--profile expects a positive cycle period");
+}
+
+TEST(ObsSessionFlags, NegativeProfilePeriodRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--profile", "-3"};
+  EXPECT_EXIT(ObsSession session(util::ArgParser(3, argv)),
+              ::testing::ExitedWithCode(2),
+              "--profile expects a positive cycle period");
+}
+
+TEST(ObsSessionFlags, NonNumericProfilePeriodRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--profile", "abc"};
+  EXPECT_EXIT(ObsSession session(util::ArgParser(3, argv)),
+              ::testing::ExitedWithCode(2),
+              "--profile expects a positive cycle period");
+}
+
+TEST(ObsSessionFlags, ProfilePeriodBareOrPositive) {
+  const auto period_of = [](std::vector<const char*> argv) {
+    const util::ArgParser args(static_cast<int>(argv.size()), argv.data());
+    ObsSession session(args);
+    SweepSpec spec;
+    session.attach(spec);
+    reject_unknown_flags(args);  // returns: every flag was consumed
+    return spec.online_config.profile_period;
+  };
+  EXPECT_EQ(period_of({"fig05_uniform16", "--timeseries-out", "unused.jsonl",
+                       "--profile"}),
+            64u);
+  EXPECT_EQ(period_of({"fig05_uniform16", "--timeseries-out", "unused.jsonl",
+                       "--profile", "8"}),
+            8u);
+  EXPECT_EQ(period_of({"fig05_uniform16", "--timeseries-out", "unused.jsonl",
+                       "--profile=1"}),
+            1u);
+}
+
+// The spatial run's point and the tracer's capacity are checked when
+// the session is built, not after the sweep has already run.
+TEST(ObsSessionFlags, NegativeSpatialLoadRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--spatial-out", "unused",
+                              "--spatial-load", "-1"};
+  EXPECT_EXIT(ObsSession session(util::ArgParser(5, argv)),
+              ::testing::ExitedWithCode(2),
+              "--spatial-load must be a load >= 0");
+}
+
+TEST(ObsSessionFlags, UnknownSpatialLimiterRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--spatial-out", "unused",
+                              "--spatial-limiter", "bogus"};
+  EXPECT_EXIT(ObsSession session(util::ArgParser(5, argv)),
+              ::testing::ExitedWithCode(2),
+              "--spatial-limiter must be one of none, alo, lf, dril");
+}
+
+TEST(ObsSessionFlags, ZeroTraceCapacityRejectedWithStatus2) {
+  const char* const argv[] = {"fig05_uniform16", "--trace", "unused.json",
+                              "--trace-capacity", "0"};
+  EXPECT_EXIT(ObsSession session(util::ArgParser(5, argv)),
+              ::testing::ExitedWithCode(2),
+              "--trace-capacity must be at least 1 event");
+}
+
 }  // namespace
 }  // namespace wormsim::harness

@@ -132,11 +132,11 @@ INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
                            return name;
                          });
 
-/// The active core's routing LUT and blocked-header route memo, and the
-/// single limiter/selection call both cores share, must emit the dense
-/// reference's sweep CSV under every routing algorithm and selection
-/// policy — not just the TFAR/MaxFreeVcs default the pattern matrix
-/// above runs. They are pure speedups, never approximations.
+/// The active core's computed route words and blocked-header route
+/// memo, and the single limiter/selection call both cores share, must
+/// emit the dense reference's sweep CSV under every routing algorithm
+/// and selection policy — not just the TFAR/MaxFreeVcs default the
+/// pattern matrix above runs. They are pure speedups, never approximations.
 TEST(CoreEquivalence, EveryRoutingAndSelectionKeepsSweepCsvByteIdentical) {
   harness::SweepSpec spec;
   spec.base = equivalence_base();
@@ -364,7 +364,7 @@ TEST(FlowControl, SchemesConserveAndOrderLatencyAtLowLoad) {
 }
 
 /// Lock-step microscope over the schemes themselves: for each scheme
-/// the dense core and the active core (routing LUT, route memo,
+/// the dense core and the active core (computed routes, route memo,
 /// active-set iteration) must agree on complete channel-level state
 /// every cycle, with the full shared invariant battery — including
 /// credit conservation — green on both.
@@ -665,7 +665,7 @@ TEST(ShardEquivalence, DenseCoreRejectsSharding) {
 /// The fault subsystem at rest must be invisible: a sweep whose base
 /// config carries an empty schedule (no FaultManager at all) and one
 /// whose schedule only fires beyond the run horizon (manager wired in,
-/// per-cycle due() gate armed, routing LUT forced on both cores) must
+/// per-cycle due() gate armed, RoutingLut forced on both cores) must
 /// both emit the byte-identical CSV of the plain no-fault sweep, on
 /// either core and for any --jobs count.
 TEST(CoreEquivalence, FaultNoopKeepsSweepCsvByteIdentical) {

@@ -205,7 +205,7 @@ TEST(LinkEpoch, DeadLinkTransitionsBumpLikeSetActive) {
 
 /// The recovery-transient soak the epoch contract exists for: the same
 /// physical link dies and heals three times while the 1-VC network
-/// deadlocks repeatedly, so fault surgery, LUT rebuilds, route-memo
+/// deadlocks repeatedly, so fault surgery, route rebuilds, route-memo
 /// flushes and deadlock recovery all interleave. The memoized core must
 /// stay bit-identical to the dense reference throughout — a memo entry
 /// surviving a rebuild would diverge at the first stale route.

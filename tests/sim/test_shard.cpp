@@ -153,7 +153,7 @@ TEST(ShardLockStep, SmallNetworkClampsToOneShard) {
 /// Lock-step equivalence through live fault surgery: the sharded core
 /// takes the same kills and restores mid-traffic as its sequential
 /// twin and must agree on channel state, the lost-message count and
-/// the LUT rebuild count at every comparison point.
+/// the route rebuild count at every comparison point.
 TEST(ShardLockStep, AgreesThroughFaultTransients) {
   const fault::FaultSchedule schedule({
       {100, fault::FaultKind::LinkKill, 5, 1},
