@@ -9,14 +9,11 @@
 // saturation points and emits a JSON record (see BENCH_hotpath.json at
 // the repo root for the committed baseline), and
 // `--obs-overhead-json [path]` measures the cost of the observability
-// hooks at the same operating points: the instrumented-off baseline
-// (branch-on-null checks only) is measured in-process in the same
-// interleaved batch as the online-statistics, tracing-on and
-// tracing+spatial modes, so the reported overheads compare like with
-// like on the same machine state. The off (A/A control) and online
-// modes additionally get tight CPU-time-ratio gates over alternating
-// back-to-back pairs (see BENCH_obs_overhead.json for the committed
-// record).
+// hooks at the same operating points: each mode (instrumented-off as an
+// A/A control, online statistics, tracing, tracing+spatial) runs in
+// alternating back-to-back pairs against the instrumented-off baseline
+// in the same process, every run timed in process CPU time (see
+// BENCH_obs_overhead.json for the committed record).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -426,50 +424,82 @@ metrics::SimResult run_obs_point(double offered, ObsMode mode,
   return r;
 }
 
-/// Aggregate-CPU-time ratio of `mode` vs the instrumented-off baseline
-/// over alternating back-to-back pairs: process CPU time is
-/// immune to preemption, alternating order cancels frequency drift,
-/// and the aggregate ratio's error shrinks with the pair count
-/// (empirically ±1% at 20 pairs). With mode == Off this is an A/A
+/// One mode's side of the observability-overhead measurement.
+struct ObsOverhead {
+  /// Aggregate ratio: total mode CPU / total baseline CPU - 1, in %.
+  /// Its error shrinks with the pair count (empirically ±1% at 20
+  /// pairs); the tight off/online gates read it.
+  double aggregate_pct = 0.0;
+  /// Median per-pair ratio - 1 and its quartiles, in %, as the hotpath
+  /// gate reads its speedup; the tracing gates read it.
+  double median_pct = 0.0;
+  double q1_pct = 0.0;
+  double q3_pct = 0.0;
+  double cpu_seconds = 0.0;  // median per mode run
+  metrics::SimResult result;  // deterministic; only the timing varies
+  std::uint64_t events_recorded = 0;
+  std::uint64_t events_dropped = 0;
+};
+
+/// `mode` vs the instrumented-off baseline over `pairs` back-to-back
+/// pairs, the order alternating from pair to pair, each run timed in
+/// process CPU time: CPU time is immune to preemption and alternating
+/// order cancels frequency drift. With mode == Off this is an A/A
 /// control: it measures the method's noise floor, which is what the
 /// instrumented-off ≤2% gate bounds.
-double measure_obs_cpu_overhead(double offered, int pairs, ObsMode mode) {
+ObsOverhead measure_obs_overhead(double offered, int pairs, ObsMode mode) {
   const unsigned scale = offered < 0.5 ? 4 : 1;
-  double base_cpu = 0.0, mode_cpu = 0.0;
+  ObsOverhead out;
+  std::vector<double> base_cpu, mode_cpu, ratio;
+  const auto timed_base = [&] {
+    const double t0 = cpu_seconds();
+    run_obs_point(offered, ObsMode::Off, nullptr, nullptr, scale);
+    base_cpu.push_back(cpu_seconds() - t0);
+  };
+  const auto timed_mode = [&] {
+    const double t0 = cpu_seconds();
+    metrics::SimResult r = run_obs_point(offered, mode, &out.events_recorded,
+                                         &out.events_dropped, scale);
+    mode_cpu.push_back(cpu_seconds() - t0);
+    out.result = std::move(r);
+  };
   for (int i = 0; i < pairs; ++i) {
     if (i % 2 == 0) {
-      const double t0 = cpu_seconds();
-      run_obs_point(offered, ObsMode::Off, nullptr, nullptr, scale);
-      const double t1 = cpu_seconds();
-      run_obs_point(offered, mode, nullptr, nullptr, scale);
-      base_cpu += t1 - t0;
-      mode_cpu += cpu_seconds() - t1;
+      timed_base();
+      timed_mode();
     } else {
-      const double t0 = cpu_seconds();
-      run_obs_point(offered, mode, nullptr, nullptr, scale);
-      const double t1 = cpu_seconds();
-      run_obs_point(offered, ObsMode::Off, nullptr, nullptr, scale);
-      mode_cpu += t1 - t0;
-      base_cpu += cpu_seconds() - t1;
+      timed_mode();
+      timed_base();
     }
+    ratio.push_back(base_cpu.back() > 0.0 ? mode_cpu.back() / base_cpu.back()
+                                          : 1.0);
   }
-  return base_cpu > 0.0 ? (mode_cpu / base_cpu - 1.0) * 100.0 : 0.0;
+  const double base_total =
+      std::accumulate(base_cpu.begin(), base_cpu.end(), 0.0);
+  const double mode_total =
+      std::accumulate(mode_cpu.begin(), mode_cpu.end(), 0.0);
+  out.aggregate_pct =
+      base_total > 0.0 ? (mode_total / base_total - 1.0) * 100.0 : 0.0;
+  std::sort(ratio.begin(), ratio.end());
+  out.median_pct = (median_of(ratio) - 1.0) * 100.0;
+  out.q1_pct = (ratio[ratio.size() / 4] - 1.0) * 100.0;
+  out.q3_pct = (ratio[(3 * ratio.size()) / 4] - 1.0) * 100.0;
+  out.cpu_seconds = median_of(mode_cpu);
+  return out;
 }
 
 int run_obs_overhead_json(const char* path) {
-  const int reps = 3;
-  const int cpu_pairs = 20;
+  const int pairs = 20;
   const double loads[] = {0.1, 1.2};
-  // Tight CPU-time gates: the A/A control bounds the instrumented-off
-  // noise floor (the branch-on-null hook checks plus measurement
-  // noise), and the online gate bounds the streaming histograms +
-  // windowed-recorder + detector cost.
+  // Tight gates on the aggregate ratio: the A/A control bounds the
+  // instrumented-off noise floor (the branch-on-null hook checks plus
+  // measurement noise), and the online gate bounds the streaming
+  // histograms + windowed-recorder + detector cost.
   constexpr double kMaxOffOverheadPct = 2.0;
   constexpr double kMaxOnlineOverheadPct = 5.0;
-  // Wall-clock tracing gates, relative to the in-process
-  // instrumented-off baseline. Generous: these exist to catch
-  // pathological regressions (a hook on the per-flit path, say), not
-  // to benchmark the tracer.
+  // Tracing gates on the median per-pair ratio. Generous: these exist
+  // to catch pathological regressions (a hook on the per-flit path,
+  // say), not to benchmark the tracer.
   constexpr double kMaxTracingOverheadPct = 25.0;
   constexpr double kMaxTracingSpatialOverheadPct = 50.0;
 
@@ -490,95 +520,80 @@ int run_obs_overhead_json(const char* path) {
   w.field("bench", "obs_overhead");
   w.field("config",
           "fig05 FAST point: 8-ary 2-cube (64 nodes), uniform, 16-flit "
-          "messages, warmup 3000, measure 8000, drain 8000, active core; "
-          "tracing modes best of 3 interleaved wall-clock runs; off/online "
-          "overheads = CPU-time ratio over 20 alternating pairs (off is an "
-          "A/A control bounding the noise floor)");
+          "messages, warmup 3000, measure 8000, drain 8000 (x4 at load "
+          "0.1), active core; every mode runs " +
+              std::to_string(pairs) +
+              " alternating pairs against the instrumented-off baseline, "
+              "each run timed in process CPU time; off/online overheads = "
+              "aggregate CPU-time ratio (off is an A/A control bounding the "
+              "noise floor), tracing overheads = median per-pair ratio "
+              "(quartiles alongside); host: " +
+              host_fingerprint());
   w.field("baseline_source", "instrumented-off run, same process and batch");
   w.key("points");
   w.begin_array();
 
   bool ok = true;
-  const auto emit_mode = [&](const char* name, const metrics::SimResult& r,
-                             std::uint64_t recorded, std::uint64_t dropped,
+  const auto emit_mode = [&](const char* name, const ObsOverhead& m,
                              bool traced) {
     w.key(name);
     w.begin_object();
-    w.field("cycles_per_second", r.cycles_per_second);
-    w.field("wall_seconds", r.wall_seconds);
-    w.field("total_cycles", r.total_cycles);
+    w.field("cycles_per_cpu_second",
+            m.cpu_seconds > 0.0
+                ? static_cast<double>(m.result.total_cycles) / m.cpu_seconds
+                : 0.0);
+    w.field("cpu_seconds", m.cpu_seconds);
+    w.field("total_cycles", m.result.total_cycles);
     if (traced) {
-      w.field("events_recorded", recorded);
-      w.field("events_dropped", dropped);
+      w.field("events_recorded", m.events_recorded);
+      w.field("events_dropped", m.events_dropped);
     }
     w.end_object();
   };
 
   for (const double offered : loads) {
     obs::logf(obs::LogLevel::Info,
-              "# obs-overhead: offered=%.2f (interleaved x%d)...\n", offered,
-              reps);
-    metrics::SimResult off, online, tracing, both;
-    std::uint64_t rec_t = 0, drop_t = 0, rec_b = 0, drop_b = 0;
+              "# obs-overhead: offered=%.2f (%d alternating CPU-time pairs "
+              "per mode)...\n",
+              offered, pairs);
     run_obs_point(offered, ObsMode::Off, nullptr, nullptr);  // warmup
-    for (int i = 0; i < reps; ++i) {
-      metrics::SimResult o = run_obs_point(offered, ObsMode::Off, nullptr,
-                                           nullptr);
-      metrics::SimResult h =
-          run_obs_point(offered, ObsMode::Online, nullptr, nullptr);
-      metrics::SimResult t =
-          run_obs_point(offered, ObsMode::Tracing, &rec_t, &drop_t);
-      metrics::SimResult b =
-          run_obs_point(offered, ObsMode::TracingSpatial, &rec_b, &drop_b);
-      if (i == 0 || o.cycles_per_second > off.cycles_per_second) {
-        off = std::move(o);
-      }
-      if (i == 0 || h.cycles_per_second > online.cycles_per_second) {
-        online = std::move(h);
-      }
-      if (i == 0 || t.cycles_per_second > tracing.cycles_per_second) {
-        tracing = std::move(t);
-      }
-      if (i == 0 || b.cycles_per_second > both.cycles_per_second) {
-        both = std::move(b);
-      }
-    }
-
+    const ObsOverhead off = measure_obs_overhead(offered, pairs, ObsMode::Off);
+    const ObsOverhead online =
+        measure_obs_overhead(offered, pairs, ObsMode::Online);
+    const ObsOverhead tracing =
+        measure_obs_overhead(offered, pairs, ObsMode::Tracing);
+    const ObsOverhead both =
+        measure_obs_overhead(offered, pairs, ObsMode::TracingSpatial);
     // Positive = the instrumented mode is slower than the
-    // instrumented-off baseline measured in this same batch.
-    const double tracing_overhead_pct =
-        off.cycles_per_second > 0.0
-            ? (off.cycles_per_second / tracing.cycles_per_second - 1.0) * 100.0
-            : 0.0;
-    const double spatial_overhead_pct =
-        off.cycles_per_second > 0.0
-            ? (off.cycles_per_second / both.cycles_per_second - 1.0) * 100.0
-            : 0.0;
-
-    // Tight gates use the CPU-time pair method, which resolves effects
-    // the best-of-3 wall-clock comparison cannot.
-    const double off_overhead_pct =
-        measure_obs_cpu_overhead(offered, cpu_pairs, ObsMode::Off);
-    const double online_overhead_pct =
-        measure_obs_cpu_overhead(offered, cpu_pairs, ObsMode::Online);
+    // instrumented-off baseline.
+    const double off_overhead_pct = off.aggregate_pct;
+    const double online_overhead_pct = online.aggregate_pct;
+    const double tracing_overhead_pct = tracing.median_pct;
+    const double spatial_overhead_pct = both.median_pct;
 
     w.begin_object();
     w.field("offered_flits_node_cycle", offered);
-    emit_mode("off", off, 0, 0, false);
-    emit_mode("online", online, 0, 0, false);
-    emit_mode("tracing", tracing, rec_t, drop_t, true);
-    emit_mode("tracing_spatial", both, rec_b, drop_b, true);
+    emit_mode("off", off, false);
+    emit_mode("online", online, false);
+    emit_mode("tracing", tracing, true);
+    emit_mode("tracing_spatial", both, true);
     w.field("off_overhead_pct", off_overhead_pct);
     w.field("online_overhead_pct", online_overhead_pct);
     w.field("tracing_overhead_pct", tracing_overhead_pct);
+    w.field("tracing_overhead_q1_pct", tracing.q1_pct);
+    w.field("tracing_overhead_q3_pct", tracing.q3_pct);
     w.field("tracing_spatial_overhead_pct", spatial_overhead_pct);
+    w.field("tracing_spatial_overhead_q1_pct", both.q1_pct);
+    w.field("tracing_spatial_overhead_q3_pct", both.q3_pct);
     w.end_object();
 
     obs::logf(obs::LogLevel::Info,
-              "# obs-overhead: offered=%.2f off=%.0f c/s, off(A/A) %+.2f%%, "
-              "online %+.2f%%, tracing %+.2f%%, +spatial %+.2f%%\n",
-              offered, off.cycles_per_second, off_overhead_pct,
-              online_overhead_pct, tracing_overhead_pct, spatial_overhead_pct);
+              "# obs-overhead: offered=%.2f off(A/A) %+.2f%%, online "
+              "%+.2f%%, tracing %+.2f%% (%+.2f..%+.2f), +spatial %+.2f%% "
+              "(%+.2f..%+.2f)\n",
+              offered, off_overhead_pct, online_overhead_pct,
+              tracing_overhead_pct, tracing.q1_pct, tracing.q3_pct,
+              spatial_overhead_pct, both.q1_pct, both.q3_pct);
     if (off_overhead_pct > kMaxOffOverheadPct) ok = false;
     if (online_overhead_pct > kMaxOnlineOverheadPct) ok = false;
     if (tracing_overhead_pct > kMaxTracingOverheadPct) ok = false;

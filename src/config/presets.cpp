@@ -55,11 +55,12 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   const std::uint64_t net_links = nodes * (2 * cfg.n);
   const std::uint64_t inj_links = nodes * net.inj_channels;
   const std::uint64_t links = net_links + inj_links;
-  // One VC slot per (net link, vc) plus one per injection link; each
-  // Link embeds its in-flight pipeline ring, so sizeof covers it.
+  // One VC slot per (net link, vc) plus one per injection link, each a
+  // VcState plus its header-arrival cycle in the per-slot side array;
+  // each Link embeds its in-flight pipeline ring, so sizeof covers it.
   const std::uint64_t slots = net_links * net.num_vcs + inj_links;
   f.network_bytes = links * sizeof(sim::Link) +
-                    slots * sizeof(sim::VcState) +
+                    slots * (sizeof(sim::VcState) + sizeof(sim::Cycle)) +
                     nodes * net.eje_channels * sizeof(sim::EjectPort);
   // Computed routing: one coordinate-digit row per node. A fault
   // schedule adds the word table its first kill tabulates (validate()

@@ -43,6 +43,13 @@ std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
                                  std::uint32_t rr_state) {
   const std::size_t count = end - begin;
   if (count == 0) return std::nullopt;
+  // RoundRobin and MaxFreeVcs scan in rotated order: candidate
+  // begin + (j + rr_state) % count at step j. The start is computed
+  // once; the scan then advances with increment-with-wrap.
+  const std::size_t start = begin + rr_state % count;
+  const auto next = [begin, end](std::size_t i) {
+    return i + 1 == end ? begin : i + 1;
+  };
 
   switch (policy) {
     case SelectionPolicy::FirstFit: {
@@ -54,8 +61,7 @@ std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
       return std::nullopt;
     }
     case SelectionPolicy::RoundRobin: {
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = begin + (j + rr_state) % count;
+      for (std::size_t j = 0, i = start; j < count; ++j, i = next(i)) {
         const Candidate& c = route.candidates[i];
         const std::uint32_t usable = free_row[c.channel] & c.vc_mask;
         if (usable) return Pick{c.channel, lowest_vc(usable), c.escape};
@@ -65,10 +71,9 @@ std::optional<Pick> select_range(const RouteResult& route, std::size_t begin,
     case SelectionPolicy::MaxFreeVcs: {
       std::optional<Pick> best;
       int best_free = -1;
-      for (std::size_t j = 0; j < count; ++j) {
-        // Rotate the scan start so ties rotate across channels instead
-        // of always favouring low channel indices.
-        const std::size_t i = begin + (j + rr_state) % count;
+      // The rotated start makes ties rotate across channels instead of
+      // always favouring low channel indices.
+      for (std::size_t j = 0, i = start; j < count; ++j, i = next(i)) {
         const Candidate& c = route.candidates[i];
         const std::uint32_t usable = free_row[c.channel] & c.vc_mask;
         if (!usable) continue;

@@ -15,8 +15,13 @@
 namespace wormsim::sim {
 
 /// State of one virtual-channel buffer (one tenancy = one message from
-/// header acceptance to tail departure).
-struct VcState {
+/// header acceptance to tail departure). 32 bytes, so two records share
+/// a cache line: transmit reads the link's own record and a random
+/// upstream one per visit, arrivals and eject one each. References to
+/// other VCs are flat slot ids (Network::vc_flat_index), which index the
+/// VcState array directly; the header's arrival cycle, read only by the
+/// route phase, lives in Network's per-slot side array.
+struct alignas(32) VcState {
   MsgId msg = kNoMsg;
 
   /// Length of the tenant message in flits, mirrored here at tenancy
@@ -24,45 +29,46 @@ struct VcState {
   /// streaming loops need no Message-pool lookup for tail detection.
   std::uint32_t msg_length = 0;
 
-  /// Flits of the tenant that have entered / left this buffer. The flit
-  /// at the head of the buffer has message-relative index `out_count`;
-  /// the buffer currently holds `in_count - out_count` flits; the header
-  /// is at the head iff out_count == 0 and the buffer is non-empty.
-  std::uint32_t in_count = 0;
+  /// Flits of the tenant that have left this buffer. The flit at the
+  /// head of the buffer has message-relative index `out_count`.
   std::uint32_t out_count = 0;
+
+  /// Feeder of this buffer: the upstream VC's slot while the worm
+  /// occupies it, kNoSlot when source-fed (injection VC) or fully
+  /// drained upstream.
+  VcSlot upstream = kNoSlot;
+  VcSlot out = kNoSlot;  // downstream VC's slot (OutKind::Vc)
 
   /// Buffered flits plus flits in flight toward this buffer (the
   /// credit-tracked occupancy the sender checks).
   std::uint8_t occupancy = 0;
+  /// Flits currently in the buffer; never exceeds occupancy, so it fits
+  /// the same byte. The header is at the head iff out_count == 0 and
+  /// the buffer is non-empty.
+  std::uint8_t buffered = 0;
+  std::uint8_t eject_port = 0;  // bound port (OutKind::Eject)
 
   enum class OutKind : std::uint8_t { None, Vc, Eject };
-  OutKind out_kind = OutKind::None;
-  VcRef out{};                 // downstream VC (OutKind::Vc)
-  std::uint8_t eject_port = 0; // bound port (OutKind::Eject)
-
-  /// Feeder of this buffer: the upstream VC the worm occupies, or
-  /// invalid when source-fed (injection VC) or fully drained upstream.
-  VcRef upstream{};
-
-  /// Cycle the header flit entered this buffer; routable from
-  /// header_arrival + routing_delay onwards.
-  Cycle header_arrival = 0;
+  OutKind out_kind : 2 = OutKind::None;
+  bool pending_route : 1 = false;  // enrolled in the simulator's route list
+  bool probed : 1 = false;         // Figure-2 probe taken for this tenancy
 
   /// Cycle a flit last entered or left this buffer (flow-control
   /// activity, the signal FC3D-style deadlock detection watches).
   Cycle last_activity = 0;
 
-  bool pending_route = false;  // enrolled in the simulator's route list
-  bool probed = false;         // Figure-2 probe taken for this tenancy
-
-  std::uint32_t buffered() const noexcept { return in_count - out_count; }
+  /// Flits of the tenant that have entered this buffer.
+  std::uint32_t in_count() const noexcept { return out_count + buffered; }
   bool free() const noexcept { return msg == kNoMsg; }
   bool header_at_head() const noexcept {
-    return msg != kNoMsg && out_count == 0 && in_count > 0;
+    return msg != kNoMsg && out_count == 0 && buffered > 0;
   }
 
   void clear() noexcept { *this = VcState{}; }
 };
+// Cache budget: the 11,264 slots of the 512-node paper network take
+// 352 KB (see DESIGN.md "Hot-state layout").
+static_assert(sizeof(VcState) <= 32, "VcState outgrew its cache budget");
 
 /// Fixed-delay link pipeline: at most one flit enters per cycle, so a
 /// ring of `delay + 1` entries always suffices. Stored as parallel
@@ -168,7 +174,7 @@ static_assert(sizeof(Link) <= 96, "Link outgrew its cache budget");
 /// Ejection port: consumes one flit per cycle from the bound VC.
 struct EjectPort {
   MsgId msg = kNoMsg;
-  VcRef src{};
+  VcSlot src = kNoSlot;  // slot of the VC feeding the port
   bool busy() const noexcept { return msg != kNoMsg; }
 };
 

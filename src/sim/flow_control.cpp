@@ -52,8 +52,9 @@ bool fail(std::string* why, const std::string& msg) {
 }
 
 /// Buffer sanity every scheme guarantees: no VC holds more flits than
-/// its capacity, counters never run backwards, and the credit-tracked
-/// occupancy covers everything actually buffered.
+/// its capacity, counters never run backwards (no more flits entered
+/// than the message has), and the credit-tracked occupancy covers
+/// everything actually buffered.
 bool check_buffers(const Network& net, std::string* why) {
   const unsigned cap = net.params().buf_flits;
   const unsigned vcs = net.params().num_vcs;
@@ -66,13 +67,15 @@ bool check_buffers(const Network& net, std::string* why) {
                              std::to_string(cap) + " at link " +
                              std::to_string(l) + " vc " + std::to_string(v));
       }
-      if (w.in_count < w.out_count) {
-        return fail(why, "buffer underflow: out_count " +
-                             std::to_string(w.out_count) + " > in_count " +
-                             std::to_string(w.in_count) + " at link " +
+      // A buffer drained below empty wraps its one-byte count, which
+      // shows as more flits entered than the message has.
+      if (w.in_count() > w.msg_length) {
+        return fail(why, "buffer underflow: in_count " +
+                             std::to_string(w.in_count()) + " > msg_length " +
+                             std::to_string(w.msg_length) + " at link " +
                              std::to_string(l) + " vc " + std::to_string(v));
       }
-      if (w.buffered() > w.occupancy) {
+      if (w.buffered > w.occupancy) {
         return fail(why, "occupancy undercounts buffered flits at link " +
                              std::to_string(l) + " vc " + std::to_string(v));
       }

@@ -23,10 +23,16 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
   const NodeId nodes = topo.num_nodes();
   num_net_links_ = nodes * topo.num_channels();
   num_inj_links_ = nodes * params.inj_channels;
-  net_vc_count_ = static_cast<std::size_t>(num_net_links_) * params.num_vcs;
+  const std::uint64_t slots =
+      std::uint64_t{num_net_links_} * params.num_vcs + num_inj_links_;
+  if (slots >= kNoSlot) {
+    throw std::invalid_argument("too many VC slots for 32-bit slot ids");
+  }
+  net_vc_count_ = num_net_links_ * params.num_vcs;
 
   links_.resize(num_net_links_ + num_inj_links_);
-  vcs_.resize(net_vc_count_ + num_inj_links_);
+  vcs_.resize(slots);
+  header_arrival_.assign(slots, 0);
   eject_.resize(static_cast<std::size_t>(nodes) * params.eje_channels);
   free_mask_.assign(num_net_links_,
                     static_cast<std::uint8_t>((1u << params.num_vcs) - 1u));
@@ -79,16 +85,17 @@ bool Network::quiescent() const noexcept {
 std::uint64_t Network::flits_in_network() const noexcept {
   std::uint64_t total = 0;
   for (const auto& v : vcs_) {
-    if (!v.free()) total += v.buffered();
+    if (!v.free()) total += v.buffered;
   }
   for (const auto& l : links_) total += l.in_flight.size();
   return total;
 }
 
-void Network::allocate_out_vc(VcRef from, VcRef out, MsgId msg,
+void Network::allocate_out_vc(VcSlot from, VcRef out, MsgId msg,
                               Cycle now) noexcept {
-  VcState& upstream = vc(from);
-  VcState& downstream = vc(out);
+  const VcSlot out_slot = vc_flat_index(out);
+  VcState& upstream = vcs_[from];
+  VcState& downstream = vcs_[out_slot];
   assert(downstream.free() && downstream.occupancy == 0);
   downstream.clear();
   downstream.msg = msg;
@@ -96,13 +103,13 @@ void Network::allocate_out_vc(VcRef from, VcRef out, MsgId msg,
   downstream.upstream = from;
   downstream.last_activity = now;  // fresh tenancy counts as activity
   upstream.out_kind = VcState::OutKind::Vc;
-  upstream.out = out;
+  upstream.out = out_slot;
   set_active(out, true);
 }
 
-void Network::bind_eject(VcRef from, NodeId node, unsigned port,
+void Network::bind_eject(VcSlot from, NodeId node, unsigned port,
                          MsgId msg) noexcept {
-  VcState& upstream = vc(from);
+  VcState& upstream = vcs_[from];
   EjectPort& p = eject_port(node, port);
   assert(!p.busy());
   p.msg = msg;
@@ -122,8 +129,8 @@ unsigned Network::absorb_drop(LinkId link, MsgId msg) noexcept {
 
 void Network::force_free(VcRef ref) noexcept {
   VcState& v = vc(ref);
-  if (v.out_kind == VcState::OutKind::Vc && vc(v.out).msg == v.msg) {
-    vc(v.out).upstream = VcRef{};
+  if (v.out_kind == VcState::OutKind::Vc && vcs_[v.out].msg == v.msg) {
+    vcs_[v.out].upstream = kNoSlot;
   }
   set_active(ref, false);
   v.clear();

@@ -54,13 +54,48 @@ class Network final : public core::ChannelStatus {
   const Link& link(LinkId id) const noexcept { return links_[id]; }
 
   /// Dense [0, num_vc_slots()) index of a VC (net-link VCs first, then
-  /// one slot per injection link) — key for per-VC side tables like the
-  /// simulator's route memo.
-  std::size_t vc_flat_index(VcRef ref) const noexcept { return vc_index(ref); }
+  /// one slot per injection link): the slot id VcState and EjectPort
+  /// store for their references, and the key for per-VC side tables
+  /// like the simulator's route memo.
+  VcSlot vc_flat_index(VcRef ref) const noexcept {
+    if (ref.link < num_net_links_) {
+      return ref.link * params_.num_vcs + ref.vc;
+    }
+    return net_vc_count_ + (ref.link - num_net_links_);
+  }
+  /// Inverse of vc_flat_index. Costs a division, so only the cold paths
+  /// (tail release, teardown, tracer events, sharded stamps) call it.
+  VcRef vc_ref(VcSlot slot) const noexcept {
+    if (slot < net_vc_count_) {
+      return VcRef{slot / params_.num_vcs,
+                   static_cast<std::uint8_t>(slot % params_.num_vcs)};
+    }
+    return VcRef{num_net_links_ + (slot - net_vc_count_), 0};
+  }
+  /// True iff `slot` is an injection link's VC (outside the credit loop).
+  bool is_injection_slot(VcSlot slot) const noexcept {
+    return slot >= net_vc_count_;
+  }
   std::size_t num_vc_slots() const noexcept { return vcs_.size(); }
 
-  VcState& vc(VcRef ref) noexcept { return vcs_[vc_index(ref)]; }
-  const VcState& vc(VcRef ref) const noexcept { return vcs_[vc_index(ref)]; }
+  VcState& vc(VcRef ref) noexcept { return vcs_[vc_flat_index(ref)]; }
+  const VcState& vc(VcRef ref) const noexcept {
+    return vcs_[vc_flat_index(ref)];
+  }
+  VcState& vc_at(VcSlot slot) noexcept { return vcs_[slot]; }
+  const VcState& vc_at(VcSlot slot) const noexcept { return vcs_[slot]; }
+
+  /// Cycle the current tenant's header flit entered the buffer at
+  /// `slot`; routable from header_arrival + routing_delay onwards. Kept
+  /// beside VcState because the route phase is its only reader. Not
+  /// reset when a tenancy ends: it is read only while the slot holds an
+  /// enrolled header, and enrollment writes it first.
+  Cycle header_arrival(VcSlot slot) const noexcept {
+    return header_arrival_[slot];
+  }
+  void set_header_arrival(VcSlot slot, Cycle at) noexcept {
+    header_arrival_[slot] = at;
+  }
 
   EjectPort& eject_port(NodeId node, unsigned port) noexcept {
     return eject_[node * params_.eje_channels + port];
@@ -134,43 +169,47 @@ class Network final : public core::ChannelStatus {
   std::uint64_t flits_in_network() const noexcept;
 
   // --- State mutation helpers ------------------------------------------
-  /// Claim downstream VC `out` for `msg`, linking it after `from`.
-  void allocate_out_vc(VcRef from, VcRef out, MsgId msg, Cycle now) noexcept;
-  /// Bind the worm ending at `from` to ejection port `port` of its
+  /// Claim downstream VC `out` for `msg`, linking it after the VC at
+  /// slot `from`.
+  void allocate_out_vc(VcSlot from, VcRef out, MsgId msg, Cycle now) noexcept;
+  /// Bind the worm ending at slot `from` to ejection port `port` of its
   /// destination node.
-  void bind_eject(VcRef from, NodeId node, unsigned port, MsgId msg) noexcept;
-  /// Move one flit out of `from` along its allocated output. The caller
+  void bind_eject(VcSlot from, NodeId node, unsigned port, MsgId msg) noexcept;
+  /// Move one flit out of slot `from` into its allocated downstream VC
+  /// `to` (slot `to_slot`, which the caller already holds). The caller
   /// has checked transmissibility. Returns true if the tail left `from`
   /// (the VC was freed). Defined inline: this is the single hottest
   /// Network mutator in the saturated regime.
-  bool transmit_flit(VcRef from, std::uint32_t msg_length,
+  bool transmit_flit(VcSlot from, VcRef to, VcSlot to_slot,
                      Cycle now) noexcept {
-    VcState& u = vc(from);
-    assert(u.buffered() > 0 && u.out_kind == VcState::OutKind::Vc);
-    VcState& d = vc(u.out);
+    VcState& u = vcs_[from];
+    VcState& d = vcs_[to_slot];
+    assert(u.buffered > 0 && u.out_kind == VcState::OutKind::Vc);
+    assert(u.out == to_slot && to_slot == vc_flat_index(to));
     assert(d.occupancy < params_.buf_flits);
 
-    Link& out_link = links_[u.out.link];
-    out_link.in_flight.push(now + params_.link_delay, u.out.vc, u.msg);
-    arrival_links_.insert(u.out.link);
+    Link& out_link = links_[to.link];
+    out_link.in_flight.push(now + params_.link_delay, to.vc, u.msg);
+    arrival_links_.insert(to.link);
     ++out_link.flits_carried;
     ++d.occupancy;
     ++u.out_count;
+    --u.buffered;
     --u.occupancy;
     u.last_activity = now;
 
-    if (u.out_count == msg_length) {
+    if (u.out_count == u.msg_length) {
       // Tail left: free this VC; downstream will receive no more flits
       // from it.
-      d.upstream = VcRef{};
-      set_active(from, false);
+      d.upstream = kNoSlot;
+      set_active(vc_ref(from), false);
       u.clear();
       return true;
     }
     return false;
   }
   /// Deliver arrived in-flight flits for `link` up to cycle `now`,
-  /// invoking `on_header(VcRef)` for each header flit that enters an
+  /// invoking `on_header(VcSlot)` for each header flit that enters an
   /// empty buffer (so the simulator can enroll it for routing).
   template <typename OnNewHeader>
   void process_arrivals(LinkId link_id, Cycle now, OnNewHeader&& on_header) {
@@ -192,17 +231,17 @@ class Network final : public core::ChannelStatus {
     // buffers directly), so the VC row lookup can be hoisted.
     assert(link_id < num_net_links_);
     Link& l = links_[link_id];
-    VcState* const row =
-        vcs_.data() + static_cast<std::size_t>(link_id) * params_.num_vcs;
+    const VcSlot base = link_id * params_.num_vcs;
     while (l.in_flight.front_due(now)) {
       const InFlightQueue::Entry entry = l.in_flight.front();
-      VcState& v = row[entry.vc];
+      const VcSlot slot = base + entry.vc;
+      VcState& v = vcs_[slot];
       assert(v.msg == entry.msg);
-      if (v.in_count == 0) {
-        v.header_arrival = now;
-        on_header(VcRef{link_id, entry.vc});
+      if (v.in_count() == 0) {
+        header_arrival_[slot] = now;
+        on_header(slot);
       }
-      ++v.in_count;
+      ++v.buffered;
       v.last_activity = now;
       l.in_flight.pop();
     }
@@ -289,21 +328,15 @@ class Network final : public core::ChannelStatus {
   }
 
  private:
-  std::size_t vc_index(VcRef ref) const noexcept {
-    if (ref.link < num_net_links_) {
-      return static_cast<std::size_t>(ref.link) * params_.num_vcs + ref.vc;
-    }
-    return net_vc_count_ + (ref.link - num_net_links_);
-  }
-
   const topo::KAryNCube* topo_;
   NetworkParams params_;
   LinkId num_net_links_ = 0;
   LinkId num_inj_links_ = 0;
-  std::size_t net_vc_count_ = 0;
+  VcSlot net_vc_count_ = 0;
 
   std::vector<Link> links_;
   std::vector<VcState> vcs_;
+  std::vector<Cycle> header_arrival_;  // per slot, see header_arrival()
   std::vector<EjectPort> eject_;
 
   // SoA mirrors for the cycle-loop fast path, maintained by set_active

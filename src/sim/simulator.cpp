@@ -496,14 +496,14 @@ void Simulator::phase_arrivals(Cycle t) {
     for (LinkId l = 0; l < n; ++l) {
       if (net_.link(l).in_flight.empty()) continue;
       net_.process_arrivals(l, t,
-                            [this](VcRef ref) { enroll_for_routing(ref); });
+                            [this](VcSlot slot) { enroll_for_routing(slot); });
     }
     return;
   }
   scan_.scan_visited += net_.arrival_links().size();
   net_.arrival_links().for_each([&](std::size_t l) {
     net_.process_arrivals(static_cast<LinkId>(l), t,
-                          [this](VcRef ref) { enroll_for_routing(ref); });
+                          [this](VcSlot slot) { enroll_for_routing(slot); });
   });
 }
 
@@ -522,13 +522,11 @@ void Simulator::phase_arrivals_sharded(Cycle t) {
           // for_each visits links ascending and the shard ranges are
           // ascending and disjoint.
           const bool erased = net_.process_arrivals_sharded(
-              static_cast<LinkId>(l), t, [&](VcRef ref) {
-                VcState& v = net_.vc(ref);
+              static_cast<LinkId>(l), t, [&](VcSlot slot) {
+                VcState& v = net_.vc_at(slot);
                 if (!v.pending_route) {
                   v.pending_route = true;
-                  lane.enrolls.push_back(
-                      {ref, v.msg,
-                       static_cast<std::uint32_t>(net_.vc_flat_index(ref))});
+                  lane.enrolls.push_back({v.msg, slot});
                 }
               });
           lane.arrival_delta -= erased ? 1 : 0;
@@ -546,12 +544,11 @@ void Simulator::phase_arrivals_sharded(Cycle t) {
   net_.adjust_arrival_links(delta);
 }
 
-void Simulator::enroll_for_routing(VcRef ref) {
-  VcState& v = net_.vc(ref);
+void Simulator::enroll_for_routing(VcSlot slot) {
+  VcState& v = net_.vc_at(slot);
   if (!v.pending_route) {
     v.pending_route = true;
-    pending_route_.push_back(
-        {ref, v.msg, static_cast<std::uint32_t>(net_.vc_flat_index(ref))});
+    pending_route_.push_back({v.msg, slot});
   }
 }
 
@@ -562,9 +559,10 @@ void Simulator::eject_node(NodeId node, Cycle t) {
   for (unsigned p = 0; p < ports; ++p) {
     EjectPort& port = net_.eject_port(node, p);
     if (!port.busy()) continue;
-    VcState& u = net_.vc(port.src);
-    if (u.buffered() == 0) continue;
+    VcState& u = net_.vc_at(port.src);
+    if (u.buffered == 0) continue;
     ++u.out_count;
+    --u.buffered;
     --u.occupancy;
     u.last_activity = t;
     last_progress_[port.msg] = t;
@@ -572,23 +570,22 @@ void Simulator::eject_node(NodeId node, Cycle t) {
     // injection VC, which sits outside the credit loop (a recovery
     // re-injection at the absorb node can eject straight from one when
     // that node happens to be the destination).
-    if (!net_.is_injection(port.src.link)) {
-      fc_on_drained(net_.vc_flat_index(port.src), t);
-    }
+    if (!net_.is_injection_slot(port.src)) fc_on_drained(port.src, t);
     collector_.on_flits_ejected(t, 1);
     if (timeseries_) timeseries_->on_flits_ejected(t, 1);
     if (online_) online_->on_flits_ejected(1);
     if (spatial_) spatial_->on_ejected_flit(node);
     if (u.out_count == u.msg_length) {
-      net_.set_active(port.src, false);
+      const VcRef src = net_.vc_ref(port.src);
+      net_.set_active(src, false);
       if (tracer_) {
-        tracer_->record(t, obs::EventKind::VcRelease, port.src.link,
-                        port.src.vc, 0, port.msg);
+        tracer_->record(t, obs::EventKind::VcRelease, src.link, src.vc, 0,
+                        port.msg);
       }
       u.clear();
       const MsgId id = port.msg;
       port.msg = kNoMsg;
-      port.src = VcRef{};
+      port.src = kNoSlot;
       deliver(id, t);
     }
   }
@@ -619,12 +616,13 @@ void Simulator::eject_node_sharded(NodeId node, Cycle t, unsigned s) {
   for (unsigned p = 0; p < ports; ++p) {
     EjectPort& port = net_.eject_port(node, p);
     if (!port.busy()) continue;
-    VcState& u = net_.vc(port.src);
-    if (u.buffered() == 0) continue;
+    VcState& u = net_.vc_at(port.src);
+    if (u.buffered == 0) continue;
     // The upstream VC may live on a link word another shard owns, but
     // no other shard touches it this phase: eject is the only writer of
     // VcStates here and each VC feeds at most one ejection port.
     ++u.out_count;
+    --u.buffered;
     --u.occupancy;
     u.last_activity = t;
     last_progress_[port.msg] = t;
@@ -636,15 +634,12 @@ void Simulator::eject_node_sharded(NodeId node, Cycle t, unsigned s) {
     EjectEvent ev;
     ev.src = port.src;
     ev.msg = port.msg;
-    ev.credit = !net_.is_injection(port.src.link);
-    if (ev.credit) {
-      ev.slot = static_cast<std::uint32_t>(net_.vc_flat_index(port.src));
-    }
+    ev.credit = !net_.is_injection_slot(port.src);
     ev.completed = u.out_count == u.msg_length;
     if (ev.completed) {
       u.clear();
       port.msg = kNoMsg;
-      port.src = VcRef{};
+      port.src = kNoSlot;
     }
     // Only events with order-sensitive commit work are parked: credit
     // returns (when the scheme consumes them) and tail completions.
@@ -690,9 +685,9 @@ void Simulator::phase_eject_sharded(Cycle t) {
       if (online_) online_->on_flits_ejected(count);
     }
     for (const EjectEvent& ev : lane.ejects) {
-      if (ev.credit) fc_on_drained(ev.slot, t);
+      if (ev.credit) fc_on_drained(ev.src, t);
       if (ev.completed) {
-        net_.set_active(ev.src, false);
+        net_.set_active(net_.vc_ref(ev.src), false);
         deliver(ev.msg, t);
       }
     }
@@ -748,16 +743,16 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       return false;
     }
   }
-  const VcRef ref = e.ref;
-  VcState& v = net_.vc(ref);
+  const VcSlot slot = e.slot;
+  VcState& v = net_.vc_at(slot);
   if (!v.pending_route) {
     // Stale entry (the worm was absorbed by deadlock recovery).
     pending_route_[i] = pending_route_.back();
     pending_route_.pop_back();
     return true;
   }
-  if (t < v.header_arrival + routing_delay) return false;
-  const std::size_t slot = e.slot;
+  const Cycle header_arrival = net_.header_arrival(slot);
+  if (t < header_arrival + routing_delay) return false;
   const NodeId node = vc_node_[slot];
 
   // Route lookup. The memo slot keys this VC's route by dst — a pure
@@ -790,7 +785,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       m.at_destination = true;
       const int port = net_.find_free_eject_port(node);
       if (port < 0) return false;  // wait for an ejection channel
-      net_.bind_eject(ref, node, static_cast<unsigned>(port), v.msg);
+      net_.bind_eject(slot, node, static_cast<unsigned>(port), v.msg);
       eject_nodes_.insert(node);
       last_progress_[v.msg] = t;
       v.pending_route = false;
@@ -864,11 +859,11 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     // cycle detection could succeed (kForever for exempt headers);
     // the memo skips re-evaluation — and, with an unchanged epoch
     // sum, the whole visit — until that bound.
-    if (!detect_on || net_.is_injection(ref.link)) {
+    if (!detect_on || net_.is_injection_slot(slot)) {
       if (memo != nullptr) memo->no_detect_before = kForever;
-    } else if (t - v.header_arrival < threshold) {
+    } else if (t - header_arrival < threshold) {
       if (memo != nullptr) {
-        memo->no_detect_before = v.header_arrival + threshold;
+        memo->no_detect_before = header_arrival + threshold;
       }
     } else if (memo == nullptr || t >= memo->no_detect_before) {
       const Cycle progress = last_progress_[v.msg];
@@ -892,7 +887,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   }
   ++alloc_rr_[node];
   const VcRef out{net_.net_link(node, pick->channel), pick->vc};
-  net_.allocate_out_vc(ref, out, v.msg, t);
+  net_.allocate_out_vc(slot, out, v.msg, t);
   if (memo != nullptr) memo->msg = kNoMsg;
   if (tracer_) {
     tracer_->record(t, obs::EventKind::VcAlloc, out.link, out.vc, 0, v.msg);
@@ -945,17 +940,17 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
       return;
     }
   }
-  const VcRef ref = e.ref;
-  const VcState& v = net_.vc(ref);
+  const VcSlot slot = e.slot;
+  const VcState& v = net_.vc_at(slot);
   if (!v.pending_route) {
     d.kind = RouteDecKind::Stale;
     return;
   }
-  if (t < v.header_arrival + routing_delay) {
+  const Cycle header_arrival = net_.header_arrival(slot);
+  if (t < header_arrival + routing_delay) {
     d.kind = RouteDecKind::Wait;
     return;
   }
-  const std::size_t slot = e.slot;
   const NodeId node = vc_node_[slot];
 
   const RouteMemo* memo = nullptr;
@@ -1040,15 +1035,15 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
       }
       if (memo->msg != v.msg) d.tenancy_reset = true;
     }
-    if (!detect_on || net_.is_injection(ref.link)) {
+    if (!detect_on || net_.is_injection_slot(slot)) {
       if (memo != nullptr) {
         d.write_ndb = true;
         d.ndb = kForever;
       }
-    } else if (t - v.header_arrival < threshold) {
+    } else if (t - header_arrival < threshold) {
       if (memo != nullptr) {
         d.write_ndb = true;
-        d.ndb = v.header_arrival + threshold;
+        d.ndb = header_arrival + threshold;
       }
     } else if (memo == nullptr || t >= (d.tenancy_reset ? 0 : ndb_now)) {
       const Cycle progress = last_progress_[v.msg];
@@ -1134,10 +1129,10 @@ void Simulator::route_commit(Cycle t) {
         Message& m = pool_[d.msg];
         m.at_destination = true;
         const NodeId node = vc_node_[e.slot];
-        net_.bind_eject(e.ref, node, static_cast<unsigned>(d.port), d.msg);
+        net_.bind_eject(e.slot, node, static_cast<unsigned>(d.port), d.msg);
         eject_nodes_.insert(node);
         last_progress_[d.msg] = t;
-        net_.vc(e.ref).pending_route = false;
+        net_.vc_at(e.slot).pending_route = false;
         stamp_route_slot(e.slot, t);
         stamp_route_node(node, t);
         pending_route_[i] = pending_route_.back();
@@ -1164,7 +1159,7 @@ void Simulator::route_commit(Cycle t) {
           if (d.write_ndb) memo.no_detect_before = d.ndb;
         }
         if (d.probe) {
-          net_.vc(e.ref).probed = true;
+          net_.vc_at(e.slot).probed = true;
           collector_.on_probe(t, d.probe_a, d.probe_b);
         }
         if (d.kind == RouteDecKind::Absorb) {
@@ -1194,17 +1189,17 @@ void Simulator::route_commit(Cycle t) {
           memo.msg = kNoMsg;
         }
         if (d.probe) {
-          net_.vc(e.ref).probed = true;
+          net_.vc_at(e.slot).probed = true;
           collector_.on_probe(t, d.probe_a, d.probe_b);
         }
         ++alloc_rr_[node];
         const VcRef out{net_.net_link(node, d.channel), d.vc};
-        net_.allocate_out_vc(e.ref, out, d.msg, t);
+        net_.allocate_out_vc(e.slot, out, d.msg, t);
         Message& m = pool_[d.msg];
         m.head = out;
         m.entered_network = true;
         last_progress_[d.msg] = t;
-        net_.vc(e.ref).pending_route = false;
+        net_.vc_at(e.slot).pending_route = false;
         stamp_route_slot(e.slot, t);
         stamp_route_node(node, t);
         pending_route_[i] = pending_route_.back();
@@ -1238,39 +1233,39 @@ void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
   // first whose upstream buffer has a flit and whose own buffer has
   // room. rr_next stays in [0, vcs), so the rotation is an
   // increment-with-wrap instead of a modulo.
+  // The upstream record is loaded by its stored slot id: no (link, vc)
+  // index math on the send path.
   VcState* const row = net_.vc_row(l);
-  const std::size_t slot_base = static_cast<std::size_t>(l) * vcs;
+  const VcSlot slot_base = l * vcs;
   std::uint8_t vcn = link.rr_next;
   for (unsigned j = 0; j < vcs; ++j, vcn = vcn + 1u == vcs ? 0 : vcn + 1u) {
     if (!(link.active_vc_mask & (1u << vcn))) continue;
-    [[maybe_unused]] const VcRef ref{l, vcn};
     VcState& w = row[vcn];
     // Cheap structural checks first; the scheme veto runs last so it is
     // consulted only when a send is otherwise possible (every scheme's
     // may_send implies occupancy < cap, so the physical-space check is
     // a pure pre-filter, not a semantic change).
     if (w.occupancy >= cap) continue;
-    if (!w.upstream.valid()) continue;
-    VcState& u = net_.vc(w.upstream);
-    if (u.buffered() == 0) continue;
-    if (!fc_may_send(slot_base + vcn, w.occupancy, cap)) continue;
-    assert(u.out_kind == VcState::OutKind::Vc && u.out == ref);
-    const VcRef up = w.upstream;  // transmit may clear it when the tail leaves
+    const VcSlot up = w.upstream;  // transmit clears it when the tail leaves
+    if (up == kNoSlot) continue;
+    if (net_.vc_at(up).buffered == 0) continue;
+    const VcSlot slot = slot_base + vcn;
+    if (!fc_may_send(slot, w.occupancy, cap)) continue;
     const MsgId msg = w.msg;
-    const bool freed = net_.transmit_flit(up, w.msg_length, t);
-    fc_on_sent(slot_base + vcn, t);
-    if (!net_.is_injection(up.link)) {
-      fc_on_drained(net_.vc_flat_index(up), t);
-    }
+    const bool freed = net_.transmit_flit(up, VcRef{l, vcn}, slot, t);
+    fc_on_sent(slot, t);
+    if (!net_.is_injection_slot(up)) fc_on_drained(up, t);
     if (freed && tracer_) {
-      tracer_->record(t, obs::EventKind::VcRelease, up.link, up.vc, 0, msg);
+      const VcRef r = net_.vc_ref(up);
+      tracer_->record(t, obs::EventKind::VcRelease, r.link, r.vc, 0, msg);
     }
     last_progress_[msg] = t;
     link.rr_next = vcn + 1u == vcs ? 0 : static_cast<std::uint8_t>(vcn + 1u);
     // Every upstream-side effect of this send (drained buffer, freed
-    // tail, returned credit) lives on up.link: stamp it so a later
-    // speculative decision that read that state pre-send re-runs.
-    stamp_transmit_link(up.link, t);
+    // tail, returned credit) lives on the upstream's link: stamp it so
+    // a later speculative decision that read that state pre-send
+    // re-runs.
+    stamp_transmit_slot(up, t);
     break;  // one flit per physical link per cycle
   }
 }
@@ -1298,15 +1293,14 @@ int Simulator::evaluate_transmit_link(LinkId l, unsigned vcs, unsigned cap) {
   const Link& link = net_.link(l);
   if (link.active_vc_mask == 0) return -1;
   const VcState* const row = net_.vc_row(l);
-  const std::size_t slot_base = static_cast<std::size_t>(l) * vcs;
+  const VcSlot slot_base = l * vcs;
   std::uint8_t vcn = link.rr_next;
   for (unsigned j = 0; j < vcs; ++j, vcn = vcn + 1u == vcs ? 0 : vcn + 1u) {
     if (!(link.active_vc_mask & (1u << vcn))) continue;
     const VcState& w = row[vcn];
     if (w.occupancy >= cap) continue;
-    if (!w.upstream.valid()) continue;
-    const VcState& u = net_.vc(w.upstream);
-    if (u.buffered() == 0) continue;
+    if (w.upstream == kNoSlot) continue;
+    if (net_.vc_at(w.upstream).buffered == 0) continue;
     if (!fc_may_send(slot_base + vcn, w.occupancy, cap)) continue;
     return vcn;
   }
@@ -1351,24 +1345,19 @@ void Simulator::transmit_commit(Cycle t) {
       }
       if (d.vcn < 0) continue;
       Link& link = net_.link(d.link);
-      VcState& w = net_.vc_row(d.link)[d.vcn];
-      const VcRef up = w.upstream;  // cleared when the tail leaves
+      const VcRef to{d.link, static_cast<std::uint8_t>(d.vcn)};
+      const VcSlot slot = d.link * vcs + to.vc;
+      VcState& w = net_.vc_at(slot);
+      const VcSlot up = w.upstream;  // cleared when the tail leaves
       const MsgId msg = w.msg;
-      assert(net_.vc(up).out_kind == VcState::OutKind::Vc &&
-             net_.vc(up).out ==
-                 (VcRef{d.link, static_cast<std::uint8_t>(d.vcn)}));
-      net_.transmit_flit(up, w.msg_length, t);
-      fc_on_sent(static_cast<std::size_t>(d.link) * vcs +
-                     static_cast<std::size_t>(d.vcn),
-                 t);
-      if (!net_.is_injection(up.link)) {
-        fc_on_drained(net_.vc_flat_index(up), t);
-      }
+      net_.transmit_flit(up, to, slot, t);
+      fc_on_sent(slot, t);
+      if (!net_.is_injection_slot(up)) fc_on_drained(up, t);
       last_progress_[msg] = t;
       link.rr_next = static_cast<unsigned>(d.vcn) + 1u == vcs
                          ? 0
                          : static_cast<std::uint8_t>(d.vcn + 1);
-      stamp_transmit_link(up.link, t);
+      stamp_transmit_slot(up, t);
     }
     lane.xmits.clear();
   }
@@ -1384,14 +1373,15 @@ void Simulator::phase_transmit_sharded(Cycle t) {
 void Simulator::start_injection(NodeId node, unsigned inj_channel, MsgId id,
                                 Cycle t) {
   const VcRef ref{net_.inj_link(node, inj_channel), 0};
-  VcState& v = net_.vc(ref);
+  const VcSlot slot = net_.vc_flat_index(ref);
+  VcState& v = net_.vc_at(slot);
   assert(v.free());
   v.clear();
   v.msg = id;
   v.msg_length = pool_[id].length;
-  v.in_count = 1;  // the header flit is written immediately
+  v.buffered = 1;  // the header flit is written immediately
   v.occupancy = 1;
-  v.header_arrival = t;
+  net_.set_header_arrival(slot, t);
   net_.set_active(ref, true);
   if (tracer_) {
     tracer_->record(t, obs::EventKind::VcAlloc, ref.link, ref.vc, 0, id);
@@ -1404,7 +1394,7 @@ void Simulator::start_injection(NodeId node, unsigned inj_channel, MsgId id,
   m.entered_network = false;
   m.inject_time = t;
   last_progress_[id] = t;
-  enroll_for_routing(ref);
+  enroll_for_routing(slot);
 }
 
 void Simulator::inject_node(NodeId node, Cycle t) {
@@ -1417,8 +1407,8 @@ void Simulator::inject_node(NodeId node, Cycle t) {
   for (unsigned i = 0; i < inj; ++i) {
     VcState& v = inj_row[i];
     if (v.free()) continue;
-    if (v.in_count < v.msg_length && v.occupancy < cap) {
-      ++v.in_count;
+    if (v.in_count() < v.msg_length && v.occupancy < cap) {
+      ++v.buffered;
       ++v.occupancy;
       last_progress_[v.msg] = t;
     }
@@ -1570,31 +1560,33 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
         net_.eject_port(net_.link(m.head.link).dst, head_vc.eject_port);
     assert(port.msg == id);
     port.msg = kNoMsg;
-    port.src = VcRef{};
+    port.src = kNoSlot;
     // A freed ejection port changes what at-destination headers at this
     // node can bind this cycle.
     stamp_route_node(net_.link(m.head.link).dst, t);
   }
-  VcRef cur = m.head;
-  while (cur.valid()) {
-    const VcRef up = net_.vc(cur).upstream;
+  VcSlot slot = net_.vc_flat_index(m.head);
+  while (slot != kNoSlot) {
+    const VcRef cur = net_.vc_ref(slot);
+    VcState& v = net_.vc_at(slot);
+    const VcSlot up = v.upstream;
     net_.absorb_drop(cur.link, id);
-    net_.vc(cur).pending_route = false;  // lazily dropped from the list
+    v.pending_route = false;  // lazily dropped from the list
     net_.force_free(cur);
     // The slot's buffered and in-flight flits just vanished: restore
     // its full credit stock and invalidate returns still on the wire.
-    fc_on_reset(net_.vc_flat_index(cur));
+    fc_on_reset(slot);
     // The walk frees this slot (its own pending entry turns stale) and
     // flips free masks, epochs and credit registers of the source
     // node's status rows — invalidate decisions keyed on either.
-    stamp_route_slot(net_.vc_flat_index(cur), t);
+    stamp_route_slot(slot, t);
     if (!net_.is_injection(cur.link)) {
       stamp_route_node(net_.link(cur.link).src, t);
     }
     if (tracer_) {
       tracer_->record(t, obs::EventKind::VcRelease, cur.link, cur.vc, 0, id);
     }
-    cur = up;
+    slot = up;
   }
   m.head = VcRef{};
   m.in_network = false;

@@ -536,7 +536,7 @@ class Simulator {
                           : net_.free_mask_row(node);
   }
 
-  void enroll_for_routing(VcRef ref);
+  void enroll_for_routing(VcSlot slot);
   void start_injection(NodeId node, unsigned inj_channel, MsgId id, Cycle t);
   /// Free every VC the worm occupies (head-to-tail upstream walk),
   /// including an ejection-port binding, and reset the message record
@@ -612,9 +612,8 @@ class Simulator {
   /// snapshot (the tenancy ended) simply fails the memo key comparison
   /// and takes the full path, which detects and drops the entry.
   struct PendingRoute {
-    VcRef ref;
     MsgId msg = kNoMsg;
-    std::uint32_t slot = 0;
+    VcSlot slot = 0;
   };
   std::vector<PendingRoute> pending_route_;
   routing::RouteResult route_buf_;
@@ -709,9 +708,8 @@ class Simulator {
   /// (for tail flits) tenancy release + delivery, replayed in shard
   /// order — which equals the sequential core's ascending-node order.
   struct EjectEvent {
-    VcRef src;
+    VcSlot src = kNoSlot;
     MsgId msg = kNoMsg;
-    std::uint32_t slot = 0;   // valid iff credit
     bool credit = false;      // non-injection source: fc_on_drained
     bool completed = false;   // tail ejected: release + deliver
   };
@@ -819,8 +817,12 @@ class Simulator {
   void stamp_route_node(NodeId node, Cycle t) noexcept {
     if (!route_node_stamp_.empty()) route_node_stamp_[node] = t;
   }
-  void stamp_transmit_link(LinkId l, Cycle t) noexcept {
-    if (!transmit_link_stamp_.empty()) transmit_link_stamp_[l] = t;
+  /// Stamp the link of VC `slot` (the division of vc_ref runs only in
+  /// the sharded core, the one that keeps these stamps).
+  void stamp_transmit_slot(VcSlot slot, Cycle t) noexcept {
+    if (!transmit_link_stamp_.empty()) {
+      transmit_link_stamp_[net_.vc_ref(slot).link] = t;
+    }
   }
 
   CoreScanStats scan_;

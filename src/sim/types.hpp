@@ -16,6 +16,11 @@ using LinkId = std::uint32_t;
 inline constexpr MsgId kNoMsg = ~MsgId{0};
 inline constexpr LinkId kNoLink = ~LinkId{0};
 
+/// Flat index of one VC buffer in the Network's VcState array (see
+/// Network::vc_flat_index): the 4-byte form hot state stores.
+using VcSlot = std::uint32_t;
+inline constexpr VcSlot kNoSlot = ~VcSlot{0};
+
 /// Reference to one virtual-channel buffer anywhere in the system
 /// (network input VC or injection VC; the link index space distinguishes
 /// them — see Network).

@@ -67,16 +67,22 @@ TEST(Presets, BuildSimulatorProducesRunnableInstance) {
 
 /// Routing state is O(nodes): one coordinate-digit row per node and a
 /// 32-byte memo key per VC slot. Only a fault schedule adds the
-/// O(nodes^2) word table its first kill tabulates.
+/// O(nodes^2) word table its first kill tabulates. Each VC slot costs
+/// a 32-byte VcState plus its 8-byte header-arrival cycle.
 TEST(Presets, MemoryEstimateCountsDigitRowsAndMemoKeys) {
   EXPECT_LE(sim::Simulator::route_memo_entry_bytes(), 32u);
+  EXPECT_EQ(sizeof(sim::VcState), 32u);
 
   config::SimConfig cfg = config::paper_base();  // 512 nodes, 3 VCs
   const std::uint64_t nodes = 512;
   const std::uint64_t net_links = nodes * 2 * cfg.n;
-  const std::uint64_t slots =
-      net_links * cfg.sim.net.num_vcs + nodes * cfg.sim.net.inj_channels;
+  const std::uint64_t inj_links = nodes * cfg.sim.net.inj_channels;
+  const std::uint64_t slots = net_links * cfg.sim.net.num_vcs + inj_links;
   const config::MemoryFootprint active = config::estimate_memory(cfg);
+  EXPECT_EQ(active.network_bytes,
+            (net_links + inj_links) * sizeof(sim::Link) +
+                slots * (32 + sizeof(sim::Cycle)) +
+                nodes * cfg.sim.net.eje_channels * sizeof(sim::EjectPort));
   EXPECT_EQ(active.lut_bytes, nodes * cfg.n * sizeof(std::uint16_t));
   EXPECT_EQ(active.status_bytes,
             net_links * (2 + sizeof(std::uint64_t)) +
@@ -96,11 +102,13 @@ TEST(Presets, MemoryEstimateCountsDigitRowsAndMemoKeys) {
             active.lut_bytes + nodes * nodes * 4);
 
   // The 32,768-node cube carries 192 KiB of digit rows, not the
-  // 4 GiB an N^2 table would need.
+  // 4 GiB an N^2 table would need; the whole estimate is ~85 MiB.
   config::SimConfig big = config::paper_base();
   big.k = 32;
-  EXPECT_EQ(config::estimate_memory(big).lut_bytes,
-            32768u * 3 * sizeof(std::uint16_t));
+  const config::MemoryFootprint big_mem = config::estimate_memory(big);
+  EXPECT_EQ(big_mem.lut_bytes, 32768u * 3 * sizeof(std::uint16_t));
+  EXPECT_GT(big_mem.total_bytes(), 85u << 20);
+  EXPECT_LT(big_mem.total_bytes(), 86u << 20);
 }
 
 TEST(Sweep, LoadRange) {

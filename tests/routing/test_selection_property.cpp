@@ -164,6 +164,53 @@ TEST_P(SelectionPropertyTest, RowOverloadMatchesVirtualView) {
   }
 }
 
+/// The rotated scan computes its start once and advances with
+/// increment-with-wrap; its picks must equal the per-candidate modulo
+/// formula (the reference) at the rotation's edge states — rr_state 0,
+/// 1, count-1, count and 2^32-1 — for 1 to 6 candidates, both for a
+/// range starting at candidate 0 and for an escape range behind an
+/// unusable adaptive candidate. Every candidate's free mask runs over
+/// {none, 1, 2, 3 free VCs}, so MaxFreeVcs sees both ties and strict
+/// winners.
+TEST_P(SelectionPropertyTest, RotationMatchesModuloFormulaAtEdgeStates) {
+  const Selector sel(GetParam());
+  constexpr std::uint8_t kFree[] = {0b000, 0b001, 0b011, 0b111};
+  for (unsigned count = 1; count <= kChannels; ++count) {
+    const std::uint32_t states[] = {0, 1, count - 1, count, 0xFFFFFFFFu};
+    for (const bool behind_adaptive : {false, true}) {
+      RouteResult route;
+      if (behind_adaptive) {
+        route.candidates.push_back({0, 0, false});  // never usable
+      }
+      for (unsigned i = 0; i < count; ++i) {
+        route.candidates.push_back(
+            {static_cast<topo::ChannelId>(i), 0b111, behind_adaptive});
+        route.useful_phys_mask |= 1u << i;
+      }
+      unsigned combos = 1;
+      for (unsigned i = 0; i < count; ++i) combos *= 4;
+      for (unsigned combo = 0; combo < combos; ++combo) {
+        std::uint8_t row[kChannels] = {};
+        for (unsigned i = 0, c = combo; i < count; ++i, c /= 4) {
+          row[i] = kFree[c % 4];
+        }
+        for (const std::uint32_t rr : states) {
+          const auto want = reference_select(GetParam(), route, row, rr);
+          const auto got = sel.select(route, row, rr);
+          ASSERT_EQ(want.has_value(), got.has_value())
+              << "count " << count << " rr " << rr << " combo " << combo;
+          if (want) {
+            ASSERT_EQ(want->channel, got->channel)
+                << "count " << count << " rr " << rr << " combo " << combo;
+            ASSERT_EQ(want->vc, got->vc);
+            ASSERT_EQ(want->escape, got->escape);
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, SelectionPropertyTest,
                          ::testing::Values(SelectionPolicy::MaxFreeVcs,
                                            SelectionPolicy::FirstFit,

@@ -20,26 +20,28 @@ void check_structural_invariants(const Simulator& sim) {
     for (unsigned v = 0; v < net.vcs_on(l); ++v) {
       const VcState& vc = net.vc({l, static_cast<std::uint8_t>(v)});
       if (vc.free()) {
-        ASSERT_EQ(vc.buffered(), 0u);
+        ASSERT_EQ(vc.buffered, 0u);
         ASSERT_EQ(vc.occupancy, 0u);
         ASSERT_EQ(net.link(l).active_vc_mask & (1u << v), 0u)
             << "free VC marked active";
       } else {
         ASSERT_NE(net.link(l).active_vc_mask & (1u << v), 0u)
             << "tenant VC not marked active";
-        ASSERT_LE(vc.out_count, vc.in_count);
-        ASSERT_LE(vc.buffered(), cap);
-        ASSERT_LE(vc.buffered(), vc.occupancy);
+        ASSERT_LE(vc.out_count, vc.in_count());
+        ASSERT_LE(vc.buffered, cap);
+        ASSERT_LE(vc.buffered, vc.occupancy);
         ASSERT_LE(vc.occupancy, cap);
         const Message& m = sim.message(vc.msg);
-        ASSERT_LE(vc.in_count, m.length);
+        ASSERT_LE(vc.in_count(), m.length);
+        ASSERT_EQ(vc.msg_length, m.length);
         // Worm chain consistency: a valid upstream must point back here.
-        if (vc.upstream.valid()) {
-          const VcState& up = net.vc(vc.upstream);
+        if (vc.upstream != kNoSlot) {
+          const VcState& up = net.vc_at(vc.upstream);
           ASSERT_EQ(up.msg, vc.msg);
           ASSERT_EQ(up.out_kind, VcState::OutKind::Vc);
-          ASSERT_EQ(up.out.link, l);
-          ASSERT_EQ(up.out.vc, v);
+          ASSERT_EQ(up.out, net.vc_flat_index({l, static_cast<std::uint8_t>(v)}));
+          ASSERT_EQ(net.vc_ref(up.out).link, l);
+          ASSERT_EQ(net.vc_ref(up.out).vc, v);
         }
       }
     }

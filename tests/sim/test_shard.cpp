@@ -69,13 +69,14 @@ void expect_networks_equal(const Simulator& ss, const Simulator& ps,
       const VcState& pv = p.vc(ref);
       ASSERT_EQ(sv.msg == kNoMsg, pv.msg == kNoMsg)
           << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(sv.in_count, pv.in_count)
+      ASSERT_EQ(sv.in_count(), pv.in_count())
           << "vc " << l << "/" << v << " cycle " << at;
       ASSERT_EQ(sv.out_count, pv.out_count)
           << "vc " << l << "/" << v << " cycle " << at;
       ASSERT_EQ(sv.occupancy, pv.occupancy)
           << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(sv.header_arrival, pv.header_arrival)
+      ASSERT_EQ(s.header_arrival(s.vc_flat_index(ref)),
+                p.header_arrival(p.vc_flat_index(ref)))
           << "vc " << l << "/" << v << " cycle " << at;
       ASSERT_EQ(sv.last_activity, pv.last_activity)
           << "vc " << l << "/" << v << " cycle " << at;
