@@ -20,7 +20,10 @@
 //   post_rebuild_cps_ratio_min   simulation throughput on the degraded
 //                                network (2 dead links, rebuilt routes)
 //                                must stay within this fraction of the
-//                                healthy network's cycles/s
+//                                healthy network's cycles/s: the median
+//                                over alternating degraded/healthy pairs
+//                                of the per-pair ratio of cycles per
+//                                process CPU second
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -30,6 +33,8 @@
 
 #include "fault/schedule.hpp"
 #include "fig_common.hpp"
+#include "host_timing.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace wormsim::bench {
@@ -103,20 +108,53 @@ config::SimConfig transient_base() {
   return cfg;
 }
 
-/// Best-of-`reps` simulation throughput (deterministic results; only
-/// the wall clock varies between repetitions).
-double best_cps(const config::SimConfig& cfg, int reps) {
-  double best = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    best = std::max(best, config::run_experiment(cfg).cycles_per_second);
+/// Simulation throughput of the degraded network against the healthy
+/// one: `pairs` back-to-back runs of each, the order alternating from
+/// pair to pair, each timed in process CPU time (immune to preemption;
+/// the alternation cancels frequency drift).
+struct CpsComparison {
+  double healthy_cps = 0.0;   // median cycles per CPU second
+  double degraded_cps = 0.0;
+  double ratio = 0.0;         // median per-pair degraded/healthy ratio
+  double ratio_q1 = 0.0;
+  double ratio_q3 = 0.0;
+};
+
+CpsComparison compare_cps(const config::SimConfig& healthy,
+                          const config::SimConfig& degraded, int pairs) {
+  const auto cps = [](const config::SimConfig& cfg) {
+    const double t0 = cpu_seconds();
+    const metrics::SimResult r = config::run_experiment(cfg);
+    const double cpu = cpu_seconds() - t0;
+    return cpu > 0.0 ? static_cast<double>(r.total_cycles) / cpu : 0.0;
+  };
+  std::vector<double> healthy_cps, degraded_cps, ratio;
+  for (int i = 0; i < pairs; ++i) {
+    if (i % 2 == 0) {
+      healthy_cps.push_back(cps(healthy));
+      degraded_cps.push_back(cps(degraded));
+    } else {
+      degraded_cps.push_back(cps(degraded));
+      healthy_cps.push_back(cps(healthy));
+    }
+    ratio.push_back(healthy_cps.back() > 0.0
+                        ? degraded_cps.back() / healthy_cps.back()
+                        : 0.0);
   }
-  return best;
+  CpsComparison out;
+  out.healthy_cps = median_of(healthy_cps);
+  out.degraded_cps = median_of(degraded_cps);
+  out.ratio = median_of(ratio);
+  std::sort(ratio.begin(), ratio.end());
+  out.ratio_q1 = ratio[ratio.size() / 4];
+  out.ratio_q3 = ratio[(3 * ratio.size()) / 4];
+  return out;
 }
 
 int run_transient_json(const char* path) {
   constexpr std::uint64_t kRecoveryCyclesMax = 2000;
   constexpr double kPostRebuildCpsRatioMin = 0.5;
-  const int reps = 3;
+  const int pairs = 11;
 
   std::ostream* os = &std::cout;
   std::ofstream file;
@@ -147,44 +185,57 @@ int run_transient_json(const char* path) {
   // the routes rebuilt) from cycle 0, against the healthy network.
   config::SimConfig degraded = healthy;
   degraded.sim.faults = fault::make_transient(topo, 2, 0, 0, healthy.seed);
-  best_cps(healthy, 1);  // thermal/cache warmup, discarded
-  const double healthy_cps = best_cps(healthy, reps);
-  const double degraded_cps = best_cps(degraded, reps);
-  const double ratio = healthy_cps > 0.0 ? degraded_cps / healthy_cps : 0.0;
+  config::run_experiment(healthy);  // cache warmup, discarded
+  const CpsComparison cps = compare_cps(healthy, degraded, pairs);
 
   obs::logf(obs::LogLevel::Info,
             "# fault_transient: pre=%.4f post=%.4f recovery=%llu cycles, "
-            "degraded %.0f cps vs healthy %.0f cps (ratio %.2f)\n",
+            "degraded %.0f cps vs healthy %.0f cps (ratio %.3f, "
+            "%.3f..%.3f)\n",
             m.pre_accepted, m.post_accepted,
-            static_cast<unsigned long long>(m.recovery_cycles), degraded_cps,
-            healthy_cps, ratio);
+            static_cast<unsigned long long>(m.recovery_cycles),
+            cps.degraded_cps, cps.healthy_cps, cps.ratio, cps.ratio_q1,
+            cps.ratio_q3);
 
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n  \"schema\": \"wormsim.bench/1\",\n"
-      "  \"bench\": \"fault_transient\",\n"
-      "  \"config\": \"ALO FAST point: 8-ary 2-cube (64 nodes), uniform, "
-      "16-flit messages, load 1.0, 2 links killed mid-measure, best of %d "
-      "runs for cps\",\n"
-      "  \"points\": [\n"
-      "    {\"offered_flits_node_cycle\": 1.0, \"mechanism\": \"alo\", "
-      "\"pre_fault_accepted\": %.4f, \"post_fault_accepted\": %.4f, "
-      "\"recovered\": %s, \"recovery_cycles\": %llu, "
-      "\"post_rebuild_cycles_per_second\": %.0f, "
-      "\"healthy_cycles_per_second\": %.0f, "
-      "\"post_rebuild_cps_ratio\": %.3f}\n"
-      "  ],\n"
-      "  \"criteria\": {\"recovery_cycles_max\": %llu, "
-      "\"post_rebuild_cps_ratio_min\": %.2f}\n}\n",
-      reps, m.pre_accepted, m.post_accepted, m.recovered ? "true" : "false",
-      static_cast<unsigned long long>(m.recovery_cycles), degraded_cps,
-      healthy_cps, ratio, static_cast<unsigned long long>(kRecoveryCyclesMax),
-      kPostRebuildCpsRatioMin);
-  *os << buf;
+  util::JsonWriter w(*os);
+  w.begin_object();
+  w.field("schema", "wormsim.bench/1");
+  w.field("bench", "fault_transient");
+  w.field("config",
+          "ALO FAST point: 8-ary 2-cube (64 nodes), uniform, 16-flit "
+          "messages, load 1.0, 2 links killed mid-measure; "
+          "post_rebuild_cps_ratio = median over " +
+              std::to_string(pairs) +
+              " alternating degraded/healthy pairs of the per-pair ratio "
+              "of cycles per process CPU second (quartiles alongside), "
+              "cycles/s fields = median per side; host: " +
+              host_fingerprint());
+  w.key("points");
+  w.begin_array();
+  w.begin_object();
+  w.field("offered_flits_node_cycle", 1.0);
+  w.field("mechanism", "alo");
+  w.field("pre_fault_accepted", m.pre_accepted);
+  w.field("post_fault_accepted", m.post_accepted);
+  w.field("recovered", m.recovered);
+  w.field("recovery_cycles", m.recovery_cycles);
+  w.field("post_rebuild_cycles_per_second", cps.degraded_cps);
+  w.field("healthy_cycles_per_second", cps.healthy_cps);
+  w.field("post_rebuild_cps_ratio", cps.ratio);
+  w.field("post_rebuild_cps_ratio_q1", cps.ratio_q1);
+  w.field("post_rebuild_cps_ratio_q3", cps.ratio_q3);
+  w.end_object();
+  w.end_array();
+  w.key("criteria");
+  w.begin_object();
+  w.field("recovery_cycles_max", kRecoveryCyclesMax);
+  w.field("post_rebuild_cps_ratio_min", kPostRebuildCpsRatioMin);
+  w.end_object();
+  w.end_object();
+  *os << "\n";
 
   if (!m.recovered || m.recovery_cycles > kRecoveryCyclesMax ||
-      ratio < kPostRebuildCpsRatioMin) {
+      cps.ratio < kPostRebuildCpsRatioMin) {
     obs::logf(obs::LogLevel::Error,
               "# fault_transient: ACCEPTANCE CRITERIA NOT MET\n");
     return 2;

@@ -21,17 +21,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "config/presets.hpp"
+#include "host_timing.hpp"
 #include "core/alo.hpp"
 #include "core/alo_gates.hpp"
 #include "core/dril.hpp"
@@ -48,6 +46,9 @@
 namespace {
 
 using namespace wormsim;
+using bench::cpu_seconds;
+using bench::host_fingerprint;
+using bench::median_of;
 
 /// Synthetic channel-status register with pseudo-random occupancy:
 /// 512 nodes' free-VC rows, laid out contiguously like the Network's.
@@ -202,51 +203,6 @@ metrics::SimResult run_point(sim::SimCore core, double offered) {
   cfg.sim.core = core;
   cfg.workload.offered_flits_per_node_cycle = offered;
   return config::run_experiment(cfg);
-}
-
-/// CPU seconds consumed by this process so far. The CPU-time overhead
-/// gates compare throughputs a couple percent apart; on a shared CI
-/// vCPU, wall clock carries multi-second preemption phases that dwarf
-/// the effect, while process CPU time is immune to them (frequency
-/// drift remains, which the alternating pair order cancels).
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t m = v.size() / 2;
-  return v.size() % 2 ? v[m] : 0.5 * (v[m - 1] + v[m]);
-}
-
-/// Host fingerprint for the bench's config string: hardware threads,
-/// CPU model, compiler and build type. Numbers from different
-/// fingerprints are not comparable.
-std::string host_fingerprint() {
-  std::string model = "unknown CPU";
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        model = line.substr(line.find_first_not_of(' ', colon + 1));
-      }
-      break;
-    }
-  }
-#if defined(__clang__)
-  const char* compiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-  const char* compiler = "gcc " __VERSION__;
-#else
-  const char* compiler = "unknown compiler";
-#endif
-  return std::to_string(std::thread::hardware_concurrency()) +
-         " hardware threads, " + model + ", " + compiler + ", " +
-         WORMSIM_BUILD_TYPE;
 }
 
 /// One core's side of the hotpath measurement: the (deterministic)
@@ -426,12 +382,11 @@ metrics::SimResult run_obs_point(double offered, ObsMode mode,
 
 /// One mode's side of the observability-overhead measurement.
 struct ObsOverhead {
-  /// Aggregate ratio: total mode CPU / total baseline CPU - 1, in %.
-  /// Its error shrinks with the pair count (empirically ±1% at 20
-  /// pairs); the tight off/online gates read it.
-  double aggregate_pct = 0.0;
   /// Median per-pair ratio - 1 and its quartiles, in %, as the hotpath
-  /// gate reads its speedup; the tracing gates read it.
+  /// gate reads its speedup; every gate reads the median. (An aggregate
+  /// ratio — total mode CPU over total baseline CPU — let a few outlier
+  /// runs of ~65 ms on a shared host move the off A/A control past 2%
+  /// about one run in three; a median ignores them.)
   double median_pct = 0.0;
   double q1_pct = 0.0;
   double q3_pct = 0.0;
@@ -474,12 +429,6 @@ ObsOverhead measure_obs_overhead(double offered, int pairs, ObsMode mode) {
     ratio.push_back(base_cpu.back() > 0.0 ? mode_cpu.back() / base_cpu.back()
                                           : 1.0);
   }
-  const double base_total =
-      std::accumulate(base_cpu.begin(), base_cpu.end(), 0.0);
-  const double mode_total =
-      std::accumulate(mode_cpu.begin(), mode_cpu.end(), 0.0);
-  out.aggregate_pct =
-      base_total > 0.0 ? (mode_total / base_total - 1.0) * 100.0 : 0.0;
   std::sort(ratio.begin(), ratio.end());
   out.median_pct = (median_of(ratio) - 1.0) * 100.0;
   out.q1_pct = (ratio[ratio.size() / 4] - 1.0) * 100.0;
@@ -489,17 +438,20 @@ ObsOverhead measure_obs_overhead(double offered, int pairs, ObsMode mode) {
 }
 
 int run_obs_overhead_json(const char* path) {
-  const int pairs = 20;
+  // 40 pairs: at 20, the A/A median at load 1.2 (per-pair quartiles
+  // about -2%..+6% on a shared 4-vCPU host) still crossed 2% in two of
+  // five runs of unchanged code.
+  const int pairs = 40;
   const double loads[] = {0.1, 1.2};
-  // Tight gates on the aggregate ratio: the A/A control bounds the
-  // instrumented-off noise floor (the branch-on-null hook checks plus
-  // measurement noise), and the online gate bounds the streaming
-  // histograms + windowed-recorder + detector cost.
+  // Every gate reads the median per-pair ratio. Tight gates: the A/A
+  // control bounds the instrumented-off noise floor (the branch-on-null
+  // hook checks plus measurement noise), and the online gate bounds the
+  // streaming histograms + windowed-recorder + detector cost.
   constexpr double kMaxOffOverheadPct = 2.0;
   constexpr double kMaxOnlineOverheadPct = 5.0;
-  // Tracing gates on the median per-pair ratio. Generous: these exist
-  // to catch pathological regressions (a hook on the per-flit path,
-  // say), not to benchmark the tracer.
+  // Generous tracing gates: these exist to catch pathological
+  // regressions (a hook on the per-flit path, say), not to benchmark
+  // the tracer.
   constexpr double kMaxTracingOverheadPct = 25.0;
   constexpr double kMaxTracingSpatialOverheadPct = 50.0;
 
@@ -524,10 +476,9 @@ int run_obs_overhead_json(const char* path) {
           "0.1), active core; every mode runs " +
               std::to_string(pairs) +
               " alternating pairs against the instrumented-off baseline, "
-              "each run timed in process CPU time; off/online overheads = "
-              "aggregate CPU-time ratio (off is an A/A control bounding the "
-              "noise floor), tracing overheads = median per-pair ratio "
-              "(quartiles alongside); host: " +
+              "each run timed in process CPU time; every overhead = median "
+              "per-pair CPU-time ratio, quartiles alongside (off is an A/A "
+              "control bounding the noise floor); host: " +
               host_fingerprint());
   w.field("baseline_source", "instrumented-off run, same process and batch");
   w.key("points");
@@ -566,8 +517,8 @@ int run_obs_overhead_json(const char* path) {
         measure_obs_overhead(offered, pairs, ObsMode::TracingSpatial);
     // Positive = the instrumented mode is slower than the
     // instrumented-off baseline.
-    const double off_overhead_pct = off.aggregate_pct;
-    const double online_overhead_pct = online.aggregate_pct;
+    const double off_overhead_pct = off.median_pct;
+    const double online_overhead_pct = online.median_pct;
     const double tracing_overhead_pct = tracing.median_pct;
     const double spatial_overhead_pct = both.median_pct;
 
@@ -578,7 +529,11 @@ int run_obs_overhead_json(const char* path) {
     emit_mode("tracing", tracing, true);
     emit_mode("tracing_spatial", both, true);
     w.field("off_overhead_pct", off_overhead_pct);
+    w.field("off_overhead_q1_pct", off.q1_pct);
+    w.field("off_overhead_q3_pct", off.q3_pct);
     w.field("online_overhead_pct", online_overhead_pct);
+    w.field("online_overhead_q1_pct", online.q1_pct);
+    w.field("online_overhead_q3_pct", online.q3_pct);
     w.field("tracing_overhead_pct", tracing_overhead_pct);
     w.field("tracing_overhead_q1_pct", tracing.q1_pct);
     w.field("tracing_overhead_q3_pct", tracing.q3_pct);
@@ -588,10 +543,11 @@ int run_obs_overhead_json(const char* path) {
     w.end_object();
 
     obs::logf(obs::LogLevel::Info,
-              "# obs-overhead: offered=%.2f off(A/A) %+.2f%%, online "
-              "%+.2f%%, tracing %+.2f%% (%+.2f..%+.2f), +spatial %+.2f%% "
-              "(%+.2f..%+.2f)\n",
-              offered, off_overhead_pct, online_overhead_pct,
+              "# obs-overhead: offered=%.2f off(A/A) %+.2f%% (%+.2f..%+.2f), "
+              "online %+.2f%% (%+.2f..%+.2f), tracing %+.2f%% "
+              "(%+.2f..%+.2f), +spatial %+.2f%% (%+.2f..%+.2f)\n",
+              offered, off_overhead_pct, off.q1_pct, off.q3_pct,
+              online_overhead_pct, online.q1_pct, online.q3_pct,
               tracing_overhead_pct, tracing.q1_pct, tracing.q3_pct,
               spatial_overhead_pct, both.q1_pct, both.q3_pct);
     if (off_overhead_pct > kMaxOffOverheadPct) ok = false;

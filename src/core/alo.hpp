@@ -42,6 +42,7 @@ AloConditions evaluate_alo_routed(const std::uint8_t* free_row,
 class AloLimiter final : public InjectionLimiter {
  public:
   bool allow(const InjectionRequest& req, const ChannelStatus& status) override;
+  bool verdict_reads_only_row() const noexcept override { return true; }
   LimiterKind kind() const noexcept override { return LimiterKind::ALO; }
 };
 

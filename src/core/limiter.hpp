@@ -88,6 +88,15 @@ class InjectionLimiter {
   /// limiters that return false (req.route is then null).
   virtual bool reads_route() const noexcept { return true; }
 
+  /// Whether allow() is a pure function of the node's status row
+  /// (ChannelStatus::free_row) and req.route — no cycle, wait, queue or
+  /// per-node state — that a VC becoming busy can never turn from deny
+  /// to allow. The simulator then treats a denial as standing until a
+  /// VC of one of the node's output links is released, the head changes
+  /// or a fault fires, and skips the route and allow() until then.
+  /// False unless a limiter opts in; ALO and LF do.
+  virtual bool verdict_reads_only_row() const noexcept { return false; }
+
   virtual LimiterKind kind() const noexcept = 0;
 };
 

@@ -23,6 +23,7 @@ class LinearFunctionLimiter final : public InjectionLimiter {
   explicit LinearFunctionLimiter(double alpha);
 
   bool allow(const InjectionRequest& req, const ChannelStatus& status) override;
+  bool verdict_reads_only_row() const noexcept override { return true; }
   LimiterKind kind() const noexcept override { return LimiterKind::LF; }
 
   double alpha() const noexcept { return alpha_; }

@@ -118,7 +118,7 @@ void emit_online(util::JsonWriter& w, const metrics::OnlineStats& online) {
 /// the execution strategy, never the simulated results, so consumers
 /// that strip "perf" still see byte-identical records across --shards.
 /// The shard count is the one that ran, not the requested --shards: a
-/// tracer (which --metrics-out attaches) forces the sequential path.
+/// tracer (which --trace attaches) forces the sequential path.
 /// `online` (nullable) contributes the phase-profiler attribution.
 void emit_perf(util::JsonWriter& w, const config::SimConfig& cfg,
                const metrics::SimResult& r,
@@ -385,7 +385,9 @@ ObsSession::ObsSession(const util::ArgParser& args)
   if (trace_capacity == 0) {
     reject_flag("trace-capacity", "must be at least 1 event");
   }
-  if (!trace_path_.empty() || !metrics_path_.empty()) {
+  // Only a trace file needs recorded events; telemetry alone runs
+  // untraced, so it pays no per-event recording (and keeps --shards).
+  if (!trace_path_.empty()) {
     tracer_ = std::make_unique<obs::Tracer>(trace_capacity);
   }
 }

@@ -85,15 +85,16 @@ class ObsSession {
   explicit ObsSession(const util::ArgParser& args);
   ~ObsSession();
 
-  /// Attach the tracer (if tracing or telemetry was requested) and
-  /// enable per-point online statistics (if telemetry or timeseries
-  /// output was requested) on the sweep about to run.
+  /// Attach the tracer (only when --trace was given) and enable
+  /// per-point online statistics (if telemetry or timeseries output was
+  /// requested) on the sweep about to run.
   void attach(SweepSpec& spec);
 
   /// Write telemetry/trace/spatial outputs. Call once, after the sweep.
   void finish(const SweepSpec& spec, const std::vector<SweepPoint>& points,
               const metrics::SweepStats* stats);
 
+  /// Null unless --trace was given.
   obs::Tracer* tracer() noexcept { return tracer_.get(); }
 
  private:

@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -41,6 +42,10 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
   link_epoch_.assign(num_net_links_, 0);
   tenant_links_.reset(num_net_links_);
   arrival_links_.reset(num_net_links_);
+  watch_.assign(nodes, 0);
+  route_park_.assign(slots, RoutePark::Awake);
+  park_cands_.assign(slots, 0);
+  in_links_.assign(num_net_links_, kNoLink);
 
   for (NodeId node = 0; node < nodes; ++node) {
     for (unsigned c = 0; c < topo.num_channels(); ++c) {
@@ -55,6 +60,42 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
       l.dst = node;
     }
   }
+  // Incoming links per node (every node of a k-ary n-cube has exactly
+  // num_channels of them): the VC slots a parked-header wake scans.
+  std::vector<unsigned> filled(nodes, 0);
+  for (LinkId l = 0; l < num_net_links_; ++l) {
+    const NodeId to = links_[l].dst;
+    assert(filled[to] < topo.num_channels());
+    in_links_[static_cast<std::size_t>(to) * topo.num_channels() +
+              filled[to]++] = l;
+  }
+}
+
+void Network::wake_watchers(NodeId node, ChannelId channel) noexcept {
+  const std::uint32_t bit = 1u << channel;
+  if (watch_[node] & bit) {
+    // Every header routed at `node` sits in one of its input VCs: the
+    // slots of its incoming network links and of its injection links.
+    const auto wake = [&](VcSlot slot) {
+      if (route_park_[slot] != RoutePark::Awake && (park_cands_[slot] & bit)) {
+        route_park_[slot] = RoutePark::Awake;
+      }
+    };
+    const unsigned chans = topo_->num_channels();
+    const LinkId* in = in_links_.data() + static_cast<std::size_t>(node) * chans;
+    for (unsigned c = 0; c < chans; ++c) {
+      const VcSlot base = in[c] * params_.num_vcs;
+      for (unsigned v = 0; v < params_.num_vcs; ++v) wake(base + v);
+    }
+    const VcSlot inj = net_vc_count_ + node * params_.inj_channels;
+    for (unsigned i = 0; i < params_.inj_channels; ++i) wake(inj + i);
+  }
+  watch_[node] &= ~(bit | kGateWatch);
+}
+
+void Network::wake_all_parked() noexcept {
+  std::fill(watch_.begin(), watch_.end(), 0u);
+  std::fill(route_park_.begin(), route_park_.end(), RoutePark::Awake);
 }
 
 int Network::find_free_eject_port(NodeId node) const noexcept {

@@ -125,8 +125,9 @@ class Network final : public core::ChannelStatus {
   /// Monotonic per-network-link change counter: bumped on every
   /// set_active touching the link, i.e. whenever its free-VC mask may
   /// have changed. Equal epoch (and thus equal epoch sums over a set of
-  /// links) guarantees the masks are unchanged — the invalidation key
-  /// for the simulator's blocked-header route memo.
+  /// links) guarantees the masks are unchanged. The simulator no longer
+  /// reads it — blocked headers park and a release wakes them (see
+  /// "Parked waiters") — so it is only a contract the tests still pin.
   std::uint64_t link_epoch(LinkId link) const noexcept {
     return link_epoch_[link];
   }
@@ -264,9 +265,10 @@ class Network final : public core::ChannelStatus {
   unsigned absorb_drop(LinkId link, MsgId msg) noexcept;
 
   /// Mark/unmark tenancy in the link's active mask. The SOLE writer of
-  /// active_vc_mask, which is what keeps the SoA free-mask mirror and
-  /// the per-link epochs coherent. Inline: called on every tenancy
-  /// transition.
+  /// active_vc_mask, which is what keeps the SoA free-mask mirror, the
+  /// per-link epochs and the parked waiters coherent: a release on a
+  /// watched link wakes them (one bit test otherwise). Inline: called
+  /// on every tenancy transition.
   void set_active(VcRef ref, bool active) noexcept {
     Link& l = links_[ref.link];
     if (active) {
@@ -283,14 +285,71 @@ class Network final : public core::ChannelStatus {
       } else {
         tenant_links_.erase(ref.link);
       }
+      if (!active && (watch_[l.src] & (kGateWatch | 1u << l.src_channel))) {
+        wake_watchers(l.src, l.src_channel);
+      }
     }
   }
+
+  // --- Parked waiters (active core) --------------------------------------
+  // A route-pending header that failed to claim a VC, and a source whose
+  // limiter denied its queue head, can only be unblocked by a VC release
+  // on one of their node's output links (or by a fault, which wakes
+  // everything). They park here, and set_active wakes them when such a
+  // release happens, so the cycle loop never re-proves "still blocked".
+  // watch_[node] marks the output channels someone waits on; the wake
+  // scans the node's input VC slots (the only headers routed there).
+
+  /// State of the route-pending header at a VC slot.
+  enum class RoutePark : std::uint8_t {
+    Awake,        // the route phase evaluates it
+    Asleep,       // provably still blocked: the route phase skips it
+    DeadlineDue,  // its detection deadline arrived, but no candidate
+                  // channel released a VC since it parked
+  };
+  RoutePark route_park(VcSlot slot) const noexcept {
+    return route_park_[slot];
+  }
+  /// Park the blocked header at `slot`, routed at `node`, until a VC of
+  /// one of the output channels in `cand_mask` is released.
+  void park_route(VcSlot slot, NodeId node, std::uint32_t cand_mask) noexcept {
+    route_park_[slot] = RoutePark::Asleep;
+    park_cands_[slot] = static_cast<std::uint16_t>(cand_mask);
+    watch_[node] |= cand_mask;
+  }
+  /// The header's detection deadline arrived (no-op unless it sleeps).
+  void wake_route_deadline(VcSlot slot) noexcept {
+    if (route_park_[slot] == RoutePark::Asleep) {
+      route_park_[slot] = RoutePark::DeadlineDue;
+    }
+  }
+  /// Its tenancy ended or the caller stops tracking it.
+  void wake_route(VcSlot slot) noexcept {
+    route_park_[slot] = RoutePark::Awake;
+  }
+  /// Park `node`'s source until a VC of any of its output links is
+  /// released (the limiter verdict reads the whole status row).
+  void park_gate(NodeId node) noexcept { watch_[node] |= kGateWatch; }
+  bool gate_parked(NodeId node) const noexcept {
+    return (watch_[node] & kGateWatch) != 0;
+  }
+  /// Output channels of `node` a parked header waits on, plus
+  /// kGateWatch when its source is parked (invariant checks).
+  std::uint32_t watch_mask(NodeId node) const noexcept { return watch_[node]; }
+  /// Candidate channels the header parked at `slot` waits on.
+  std::uint32_t park_cands(VcSlot slot) const noexcept {
+    return park_cands_[slot];
+  }
+  /// Wake every parked header and source (fault events).
+  void wake_all_parked() noexcept;
+  static constexpr std::uint32_t kGateWatch = 1u << 31;
 
   // --- Dead links (fault injection) ------------------------------------
   /// Zero / restore a network link's admissible-VC field. A dead link's
   /// free mask reads 0, so no selection, limiter or injection scan can
-  /// pick it; its epoch bumps so memoized routes re-validate. The
-  /// caller must have torn down every tenant and drained the in-flight
+  /// pick it; its epoch bumps. A restore frees VCs without a release,
+  /// so the caller wakes every parked waiter after a fault. The caller
+  /// must have torn down every tenant and drained the in-flight
   /// pipeline before killing.
   void set_link_dead(LinkId link, bool dead) noexcept {
     assert(link < num_net_links_);
@@ -347,6 +406,15 @@ class Network final : public core::ChannelStatus {
 
   util::ActiveSet tenant_links_;   // net links with active_vc_mask != 0
   util::ActiveSet arrival_links_;  // net links with non-empty in_flight
+
+  // Parked waiters (see "Parked waiters" above).
+  /// Wake the headers at `node` waiting on output channel `channel` and
+  /// the node's parked source; clears the channel's watch bit.
+  void wake_watchers(NodeId node, ChannelId channel) noexcept;
+  std::vector<std::uint32_t> watch_;     // per node: channel bits | gate
+  std::vector<RoutePark> route_park_;    // per VC slot
+  std::vector<std::uint16_t> park_cands_;  // per VC slot, while parked
+  std::vector<LinkId> in_links_;  // per node: num_channels incoming links
 };
 
 }  // namespace wormsim::sim

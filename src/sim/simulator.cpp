@@ -83,7 +83,15 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
   }
   memo_on_ = active;
   if (memo_on_) route_memo_.resize(net_.num_vc_slots());
-  limiter_reads_route_ = limiter_->reads_route();
+  if (memo_on_ && cfg_.detection.enabled) {
+    // Deadlines lie at most `threshold` cycles ahead; a threshold past
+    // the cap only costs far deadlines a lap of the wheel.
+    constexpr Cycle kMaxWheel = 4096;
+    const Cycle size = std::bit_ceil(
+        std::min<Cycle>(Cycle{cfg_.detection.threshold} + 1, kMaxWheel));
+    deadline_wheel_.resize(size);
+    deadline_mask_ = size - 1;
+  }
   // Flow-control scheme and its capability bits, resolved once: the
   // cycle loop consults the scheme object only where a bit says it can
   // change the outcome.
@@ -99,6 +107,7 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
                         ? static_cast<const core::ChannelStatus*>(
                               credit_status_.get())
                         : &net_;
+  resolve_limiter();
   // Per-slot owning router node (the link's dst): a contiguous 4-byte
   // lookup in phase_route instead of a Link record load.
   vc_node_.resize(net_.num_vc_slots());
@@ -154,6 +163,16 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
 
 std::size_t Simulator::route_memo_entry_bytes() noexcept {
   return sizeof(RouteMemo);
+}
+
+void Simulator::resolve_limiter() {
+  limiter_reads_route_ = limiter_->reads_route();
+  // Under Credit the status row also changes when credits come home,
+  // which no set_active reports, so a denied source could miss its
+  // wake.
+  park_gates_ = memo_on_ && limiter_->verdict_reads_only_row() &&
+                credit_status_ == nullptr;
+  net_.wake_all_parked();
 }
 
 void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
@@ -526,7 +545,7 @@ void Simulator::phase_arrivals_sharded(Cycle t) {
                 VcState& v = net_.vc_at(slot);
                 if (!v.pending_route) {
                   v.pending_route = true;
-                  lane.enrolls.push_back({v.msg, slot});
+                  lane.enrolls.push_back({slot});
                 }
               });
           lane.arrival_delta -= erased ? 1 : 0;
@@ -548,8 +567,40 @@ void Simulator::enroll_for_routing(VcSlot slot) {
   VcState& v = net_.vc_at(slot);
   if (!v.pending_route) {
     v.pending_route = true;
-    pending_route_.push_back({v.msg, slot});
+    pending_route_.push_back({slot});
   }
+}
+
+void Simulator::park_header(VcSlot slot, NodeId node, std::uint32_t cand_mask,
+                            Cycle deadline) {
+  net_.park_route(slot, node, cand_mask);
+  if (deadline != kForever) {
+    deadline_wheel_[deadline & deadline_mask_].push_back(slot);
+  }
+}
+
+void Simulator::wake_due_headers(Cycle t) {
+  std::vector<VcSlot>& bucket = deadline_wheel_[t & deadline_mask_];
+  if (bucket.empty()) return;
+  deadline_due_.swap(bucket);
+  for (const VcSlot slot : deadline_due_) {
+    // A slot a release already woke, or that parked again since with a
+    // later deadline, is a stale entry — unless that deadline is a
+    // whole number of turns away (a threshold beyond the wheel size).
+    if (net_.route_park(slot) != Network::RoutePark::Asleep) continue;
+    const Cycle deadline = route_memo_[slot].no_detect_before;
+    if (deadline == t) {
+      net_.wake_route_deadline(slot);
+    } else if (deadline > t && ((deadline - t) & deadline_mask_) == 0) {
+      bucket.push_back(slot);
+    }
+  }
+  deadline_due_.clear();
+}
+
+void Simulator::wake_pending_routes() {
+  for (const PendingRoute& e : pending_route_) net_.wake_route(e.slot);
+  for (std::vector<VcSlot>& bucket : deadline_wheel_) bucket.clear();
 }
 
 // --- Ejection ---------------------------------------------------------
@@ -727,23 +778,19 @@ void Simulator::sample_spatial_sharded(Cycle t) {
 // --- Routing ----------------------------------------------------------
 
 bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
-                            bool detect_on, Cycle threshold) {
-  const PendingRoute e = pending_route_[i];
-  // Parked-entry check: if the enrollment snapshot still matches the
-  // memo's tenancy key, this header already blocked; an equal epoch
-  // sum proves every candidate mask is unchanged (still blocked) and
-  // a detection bound in the future proves the FC3D guards cannot
-  // pass either — the whole visit is a no-op, decided without
-  // touching the VcState or Message record.
-  if (memo_on_) {
-    const RouteMemo& pm = route_memo_[e.slot];
-    if (pm.msg == e.msg && t < pm.no_detect_before &&
-        candidate_epoch_sum(vc_node_[e.slot], pm.cand_mask) == pm.epoch_sum) {
-      ++scan_.route_memo_hits;
-      return false;
-    }
+                            bool detect_on, Cycle threshold, bool park) {
+  const VcSlot slot = pending_route_[i].slot;
+  // Parked header: it failed to claim a VC, and since then no VC of a
+  // candidate channel was released (a release wakes it), its detection
+  // deadline has not arrived (the wheel wakes it) and no fault fired —
+  // it is provably still blocked and the visit is a no-op, decided
+  // without touching the VcState, the memo or the Message record. The
+  // dense core never parks.
+  const Network::RoutePark parked = net_.route_park(slot);
+  if (parked == Network::RoutePark::Asleep) {
+    ++scan_.route_memo_hits;
+    return false;
   }
-  const VcSlot slot = e.slot;
   VcState& v = net_.vc_at(slot);
   if (!v.pending_route) {
     // Stale entry (the worm was absorbed by deadlock recovery).
@@ -758,27 +805,24 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   // Route lookup. The memo slot keys this VC's route by dst — a pure
   // function of (node, dst), node being fixed per slot, so a known
   // route even survives across tenancies — and keeps only its
-  // candidate-channel mask. When additionally no candidate link's
-  // free-VC mask changed since the last failed selection (equal epoch
-  // sum), the header is provably still blocked and selection is
-  // skipped as well. The tenancy key memo->msg marks a header already
-  // observed blocked in transit this tenancy: its retries touch
-  // neither the Message record nor the destination check (both
-  // settled on first sight). The route itself is expanded from its
-  // computed word into route_buf_ only when the visit reaches the
-  // probe, selection or the FC3D check.
+  // candidate-channel mask. The tenancy key memo->msg marks a header
+  // already observed blocked in transit this tenancy: its retries touch
+  // neither the Message record nor the destination check (both settled
+  // on first sight). A header its detection deadline woke is still
+  // blocked (no candidate released a VC since it parked), so selection
+  // is skipped too. The route itself is expanded from its computed
+  // word into route_buf_ only when the visit reaches the probe,
+  // selection or the FC3D check.
   RouteMemo* memo = nullptr;
   NodeId dst = topo::kInvalidNode;
   bool expanded = false;  // route_buf_ holds route(node, dst)
-  std::uint64_t epoch_sum = 0;
-  bool still_blocked = false;
+  const bool still_blocked = parked == Network::RoutePark::DeadlineDue;
   if (memo_on_ && route_memo_[slot].msg == v.msg) {
     memo = &route_memo_[slot];
     ++scan_.route_memo_hits;
     dst = memo->dst;
-    epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-    still_blocked = epoch_sum == memo->epoch_sum;
   } else {
+    assert(!still_blocked);
     Message& m = pool_[v.msg];
     dst = m.dst;
     if (node == dst) {
@@ -803,11 +847,8 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
         route_at(node, dst, route_buf_);
         expanded = true;
         memo->dst = dst;
-        memo->epoch_sum = kNoEpoch;
         memo->cand_mask = candidate_channel_mask(route_buf_);
       }
-      epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-      still_blocked = epoch_sum == memo->epoch_sum;
     } else {
       route_at(node, dst, route_buf_);
       expanded = true;
@@ -836,18 +877,15 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   std::optional<routing::Pick> pick;
   // VCT's whole-packet admission gates the claim itself; a failed
   // admission leaves the header blocked exactly like a failed
-  // selection (and the memo's still-blocked proof stays exact: the
-  // admission verdict is a constant of the tenancy).
+  // selection (and parking stays exact: the admission verdict is a
+  // constant of the tenancy).
   if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
     pick = selector_.select(route(), net_.free_mask_row(node), alloc_rr_[node]);
   }
   if (!pick) {
-    if (memo != nullptr) {
-      if (!still_blocked) memo->epoch_sum = epoch_sum;
-      if (memo->msg != v.msg) {
-        memo->msg = v.msg;      // tenancy key; cleared on success/absorb
-        memo->no_detect_before = 0;  // prior tenancy's bound is void
-      }
+    if (memo != nullptr && memo->msg != v.msg) {
+      memo->msg = v.msg;      // tenancy key; cleared on success/absorb
+      memo->no_detect_before = 0;  // prior tenancy's bound is void
     }
     // Blocked. FC3D-style deadlock presumption: the header has waited
     // at least `threshold` cycles, no flit of the message has moved,
@@ -856,9 +894,9 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     // the messages holding them are frozen too. Headers still inside
     // an injection channel hold no network resources and are exempt.
     // Every failed guard yields a monotone lower bound on the first
-    // cycle detection could succeed (kForever for exempt headers);
-    // the memo skips re-evaluation — and, with an unchanged epoch
-    // sum, the whole visit — until that bound.
+    // cycle detection could succeed (kForever for exempt headers); the
+    // memo skips re-evaluation until that bound, and a parked header
+    // sleeps until it.
     if (!detect_on || net_.is_injection_slot(slot)) {
       if (memo != nullptr) memo->no_detect_before = kForever;
     } else if (t - header_arrival < threshold) {
@@ -878,6 +916,9 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       } else if (memo != nullptr) {
         memo->no_detect_before = earliest;
       }
+    }
+    if (park && memo != nullptr) {
+      park_header(slot, node, memo->cand_mask, memo->no_detect_before);
     }
     // Retry next cycle. The stamp covers the memo/probed writes above:
     // a duplicate entry for this slot (stale enrollment followed by a
@@ -908,8 +949,12 @@ void Simulator::phase_route(Cycle t) {
   const Cycle routing_delay = cfg_.routing_delay;
   const bool detect_on = cfg_.detection.enabled;
   const Cycle threshold = cfg_.detection.threshold;
+  if (!deadline_wheel_.empty()) wake_due_headers(t);
   for (std::size_t i = 0; i < pending_route_.size();) {
-    if (!route_entry(i, t, routing_delay, detect_on, threshold)) ++i;
+    if (!route_entry(i, t, routing_delay, detect_on, threshold,
+                     /*park=*/true)) {
+      ++i;
+    }
   }
 }
 
@@ -918,29 +963,20 @@ void Simulator::phase_route(Cycle t) {
 void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
                                      Cycle routing_delay, bool detect_on,
                                      Cycle threshold, ShardLane& lane) {
-  const PendingRoute e = pending_route_[i];
+  const VcSlot slot = pending_route_[i].slot;
   RouteDecision& d = route_dec_[i];
   d.evals = 0;
   d.hits = 0;
   d.fresh_route = false;
-  d.write_epoch = false;
   d.tenancy_reset = false;
   d.write_ndb = false;
   d.probe = false;
   // Mirror of route_entry, step for step, but read-only w.r.t. shared
   // state: every store route_entry would perform is recorded as a
   // write intent in the decision instead. Divergence between the two
-  // bodies is a correctness bug the lock-step suites catch.
-  if (memo_on_) {
-    const RouteMemo& pm = route_memo_[e.slot];
-    if (pm.msg == e.msg && t < pm.no_detect_before &&
-        candidate_epoch_sum(vc_node_[e.slot], pm.cand_mask) == pm.epoch_sum) {
-      d.kind = RouteDecKind::Park;
-      d.hits = 1;
-      return;
-    }
-  }
-  const VcSlot slot = e.slot;
+  // bodies is a correctness bug the lock-step suites catch. Nothing is
+  // parked here (route_evaluate woke every entry), so every entry is
+  // evaluated in full.
   const VcState& v = net_.vc_at(slot);
   if (!v.pending_route) {
     d.kind = RouteDecKind::Stale;
@@ -956,8 +992,6 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
   const RouteMemo* memo = nullptr;
   NodeId dst = topo::kInvalidNode;
   bool expanded = false;  // lane.route_scratch holds route(node, dst)
-  std::uint64_t epoch_sum = 0;
-  bool still_blocked = false;
   // memo->no_detect_before as the detection ladder would read it: the
   // sequential body zeroes it on tenancy reset before the ladder runs.
   Cycle ndb_now = 0;
@@ -965,8 +999,6 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
     memo = &route_memo_[slot];
     d.hits = 1;
     dst = memo->dst;
-    epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-    still_blocked = epoch_sum == memo->epoch_sum;
     ndb_now = memo->no_detect_before;
   } else {
     const Message& m = pool_[v.msg];
@@ -986,8 +1018,6 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
       memo = &route_memo_[slot];
       if (memo->dst == dst) {
         d.hits = 1;
-        epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-        still_blocked = epoch_sum == memo->epoch_sum;
       } else {
         d.evals = 1;
         route_lookup(node, dst, lane.route_scratch);
@@ -995,10 +1025,6 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
         d.fresh_route = true;
         d.dst = dst;
         d.cand_mask = candidate_channel_mask(lane.route_scratch);
-        epoch_sum = candidate_epoch_sum(node, d.cand_mask);
-        // The sequential body compares against the kNoEpoch it just
-        // stored — real epoch sums never equal the sentinel.
-        still_blocked = epoch_sum == kNoEpoch;
       }
     } else {
       d.evals = 1;
@@ -1022,19 +1048,13 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
     d.probe_b = cond.any_useful_completely_free;
   }
   std::optional<routing::Pick> pick;
-  if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
+  if (fc_admit(v.msg_length, net_.params().buf_flits)) {
     pick = selector_.select(route(), net_.free_mask_row(node), alloc_rr_[node]);
   }
   if (!pick) {
     d.kind = RouteDecKind::Blocked;
     d.msg = v.msg;
-    if (memo != nullptr) {
-      if (!still_blocked) {
-        d.write_epoch = true;
-        d.epoch_sum = epoch_sum;
-      }
-      if (memo->msg != v.msg) d.tenancy_reset = true;
-    }
+    if (memo != nullptr && memo->msg != v.msg) d.tenancy_reset = true;
     if (!detect_on || net_.is_injection_slot(slot)) {
       if (memo != nullptr) {
         d.write_ndb = true;
@@ -1069,6 +1089,10 @@ void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
 }
 
 void Simulator::route_evaluate(Cycle t) {
+  // A sharded step unparks everything: the evaluate pass reads no park
+  // state and its commit parks nothing, so the sequential route phase
+  // finds every entry awake when it runs again.
+  wake_pending_routes();
   const std::size_t n = pending_route_.size();
   route_dec_.resize(n);
   if (n == 0) return;
@@ -1100,7 +1124,8 @@ void Simulator::route_commit(Cycle t) {
     if (route_slot_stamp_[e.slot] == t ||
         route_node_stamp_[vc_node_[e.slot]] == t) {
       ++scan_.commit_conflicts;
-      if (route_entry(i, t, routing_delay, detect_on, threshold)) {
+      if (route_entry(i, t, routing_delay, detect_on, threshold,
+                      /*park=*/false)) {
         if (i + 1 != route_dec_.size()) {
           route_dec_[i] = std::move(route_dec_.back());
         }
@@ -1112,9 +1137,6 @@ void Simulator::route_commit(Cycle t) {
     }
     bool removed = false;
     switch (d.kind) {
-      case RouteDecKind::Park:
-        scan_.route_memo_hits += d.hits;
-        break;
       case RouteDecKind::Wait:
         break;
       case RouteDecKind::Stale:
@@ -1148,10 +1170,8 @@ void Simulator::route_commit(Cycle t) {
           RouteMemo& memo = route_memo_[e.slot];
           if (d.fresh_route) {
             memo.dst = d.dst;
-            memo.epoch_sum = kNoEpoch;
             memo.cand_mask = d.cand_mask;
           }
-          if (d.write_epoch) memo.epoch_sum = d.epoch_sum;
           if (d.tenancy_reset) {
             memo.msg = d.msg;
             memo.no_detect_before = 0;
@@ -1183,7 +1203,6 @@ void Simulator::route_commit(Cycle t) {
           RouteMemo& memo = route_memo_[e.slot];
           if (d.fresh_route) {
             memo.dst = d.dst;
-            memo.epoch_sum = kNoEpoch;
             memo.cand_mask = d.cand_mask;
           }
           memo.msg = kNoMsg;
@@ -1444,12 +1463,19 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     req.queue_len = queues_[node].size();
     // Gate decision. Limiters that never read the route (None, DRIL)
     // skip the routing step; the rest route through route_at (computed
-    // route words in the active core).
-    if (limiter_reads_route_) {
-      route_at(node, pm.dst, route_buf_);
-      req.route = &route_buf_;
+    // route words in the active core). A parked source was denied for
+    // this head, and no output link has released a VC since: the
+    // verdict (a pure function of the status row and the head's route)
+    // is still "deny", so neither the route nor the limiter runs.
+    bool allowed = false;
+    if (!net_.gate_parked(node)) {
+      if (limiter_reads_route_) {
+        route_at(node, pm.dst, route_buf_);
+        req.route = &route_buf_;
+      }
+      allowed = limiter_->allow(req, *limiter_status_);
+      if (!allowed && park_gates_) net_.park_gate(node);
     }
-    const bool allowed = limiter_->allow(req, *limiter_status_);
     if (!allowed) {
       if (tracer_) {
         tracer_->record(t, obs::EventKind::GateBlock, node,
@@ -1549,8 +1575,11 @@ bool Simulator::requested_channels_frozen(
 
 void Simulator::teardown_worm(MsgId id, Cycle t) {
   Message& m = pool_[id];
-  // The header's slot may carry this tenancy's blocked-memo key; end it.
-  if (memo_on_) route_memo_[net_.vc_flat_index(m.head)].msg = kNoMsg;
+  // The header's slot may carry this tenancy's blocked-memo key and
+  // park state; end both (its pending entry turns stale).
+  const VcSlot head_slot = net_.vc_flat_index(m.head);
+  if (memo_on_) route_memo_[head_slot].msg = kNoMsg;
+  net_.wake_route(head_slot);
   // Deadlocked worms are never eject-bound (at-destination headers are
   // exempt from detection), but fault surgery can hit one mid-delivery:
   // release the ejection port too.
@@ -1565,7 +1594,7 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
     // node can bind this cycle.
     stamp_route_node(net_.link(m.head.link).dst, t);
   }
-  VcSlot slot = net_.vc_flat_index(m.head);
+  VcSlot slot = head_slot;
   while (slot != kNoSlot) {
     const VcRef cur = net_.vc_ref(slot);
     VcState& v = net_.vc_at(slot);
@@ -1760,15 +1789,18 @@ void Simulator::apply_faults(Cycle t) {
   }
   sync_dead_links(t);
   // Reconfiguration: tabulate BFS routes on the alive graph (or drop
-  // the table once healthy), bump every link epoch and flush the route
-  // memo, so every blocked header re-routes against the new routes
-  // next phase_route.
+  // the table once healthy), bump every link epoch, flush the route
+  // memo and wake every parked header and source, so each re-routes
+  // (or re-asks its limiter) against the new routes and the restored
+  // or killed links — none of which a VC release reports.
   lut_->rebuild(&faults_->mask());
   ++lut_rebuilds_;
   net_.bump_all_epochs();
   if (memo_on_) {
     for (RouteMemo& memo : route_memo_) memo = RouteMemo{};
   }
+  net_.wake_all_parked();
+  for (std::vector<VcSlot>& bucket : deadline_wheel_) bucket.clear();
   if (tracer_) {
     tracer_->record(
         t, obs::EventKind::FaultLutRebuild, 0, 0,
@@ -1880,6 +1912,62 @@ bool Simulator::check_active_sets(std::string* why) const {
     }
     if (dense_n + timed_n > topo_.num_nodes()) {
       return fail("duplicate generation subscription");
+    }
+  }
+
+  // Parked waiters: every sleeping header still satisfies the parked
+  // predicate — its tenancy key matches, its detection deadline has not
+  // passed (and sits on the wheel), and no candidate VC was released
+  // since it parked: each candidate channel is still watched (a release
+  // there wakes it) and none has a claimable VC.
+  std::vector<bool> enrolled(net.num_vc_slots(), false);
+  for (const PendingRoute& e : pending_route_) enrolled[e.slot] = true;
+  routing::RouteResult route;
+  for (VcSlot slot = 0; slot < net.num_vc_slots(); ++slot) {
+    const Network::RoutePark park = net.route_park(slot);
+    if (park == Network::RoutePark::Awake) continue;
+    const std::string at = " at slot " + std::to_string(slot);
+    if (!memo_on_ || park != Network::RoutePark::Asleep) {
+      return fail("header parked outside the route phase's states" + at);
+    }
+    const VcState& v = net.vc_at(slot);
+    const RouteMemo& memo = route_memo_[slot];
+    if (!enrolled[slot] || !v.pending_route) {
+      return fail("parked header has no pending route entry" + at);
+    }
+    if (memo.msg != v.msg) {
+      return fail("parked header's tenancy key is stale" + at);
+    }
+    if (memo.no_detect_before < cycle_) {
+      return fail("parked header slept through its detection deadline" + at);
+    }
+    if (memo.no_detect_before != kForever) {
+      const auto& bucket =
+          deadline_wheel_[memo.no_detect_before & deadline_mask_];
+      if (std::find(bucket.begin(), bucket.end(), slot) == bucket.end()) {
+        return fail("parked header's deadline is not on the wheel" + at);
+      }
+    }
+    const NodeId node = vc_node_[slot];
+    if (net.park_cands(slot) != memo.cand_mask ||
+        (net.watch_mask(node) & memo.cand_mask) != memo.cand_mask) {
+      return fail("parked header waits on an unwatched channel" + at);
+    }
+    if (fc_admit(v.msg_length, net.params().buf_flits)) {
+      route_lookup(node, memo.dst, route);
+      const std::uint8_t* row = net.free_mask_row(node);
+      for (const auto& cand : route.candidates) {
+        if (row[cand.channel] & cand.vc_mask) {
+          return fail("parked header has a free candidate VC" + at);
+        }
+      }
+    }
+  }
+  for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
+    if (!net.gate_parked(node)) continue;
+    if (!park_gates_ || queues_[node].empty()) {
+      return fail("source parked without a parkable limiter verdict, node " +
+                  std::to_string(node));
     }
   }
   return true;

@@ -32,7 +32,6 @@
 // tests/sim/test_core_equivalence.cpp enforces byte-identical results.
 #pragma once
 
-#include <bit>
 #include <deque>
 #include <memory>
 #include <queue>
@@ -217,7 +216,7 @@ class Simulator {
   void set_limiter(std::unique_ptr<core::InjectionLimiter> limiter) {
     if (!limiter) return;
     limiter_ = std::move(limiter);
-    limiter_reads_route_ = limiter_->reads_route();
+    resolve_limiter();
   }
   traffic::Workload* workload() noexcept { return workload_.get(); }
   const metrics::Collector& collector() const noexcept { return collector_; }
@@ -395,10 +394,12 @@ class Simulator {
   /// finish (parked check through allocation). Returns true when the
   /// entry was resolved and swap-removed from pending_route_ (the
   /// caller must then re-examine index i), false when it stays pending.
-  /// Also serves as the commit phase's inline fallback for invalidated
-  /// decisions — it stamps every slot/node it mutates.
+  /// A header that stays blocked parks when `park` is set (see
+  /// park_header). Also serves as the commit phase's inline fallback
+  /// for invalidated decisions — it stamps every slot/node it mutates,
+  /// and parks nothing, since a sharded step unparks everything.
   bool route_entry(std::size_t i, Cycle t, Cycle routing_delay,
-                   bool detect_on, Cycle threshold);
+                   bool detect_on, Cycle threshold, bool park);
   /// Speculative read-only twin of route_entry: computes entry i's
   /// decision into route_dec_[i], using only lane-local scratch.
   void route_evaluate_entry(std::size_t i, Cycle t, Cycle routing_delay,
@@ -464,23 +465,6 @@ class Simulator {
     }
   }
 
-  /// Sum of the free-mask epochs of every candidate output link of
-  /// `route` at `node`. Epochs are monotone, so an equal sum means no
-  /// candidate's free-VC mask changed — the route-memo freshness key.
-  /// Sum of the epoch counters of `node`'s output links selected by the
-  /// candidate-channel bitmask (each distinct link counted once). The
-  /// mask form keeps the hot re-check loop on one small integer instead
-  /// of walking candidate records.
-  std::uint64_t candidate_epoch_sum(NodeId node,
-                                    std::uint32_t cand_mask) const {
-    const std::uint64_t* row = net_.link_epoch_row(node);
-    std::uint64_t sum = 0;
-    for (std::uint32_t m = cand_mask; m != 0; m &= m - 1) {
-      sum += row[std::countr_zero(m)];
-    }
-    return sum;
-  }
-
   /// Union of a route's candidate physical channels as a bitmask.
   static std::uint32_t candidate_channel_mask(
       const routing::RouteResult& route) {
@@ -521,7 +505,7 @@ class Simulator {
   /// outstanding credits are masked out (a channel is only completely
   /// free once its credits came home). Selection does NOT use this —
   /// claimability is a tenancy property in every scheme, which is what
-  /// keeps the route memo's epoch keys exact.
+  /// lets a parked header sleep until a tenancy release.
   const std::uint8_t* fc_status_row(NodeId node) const {
     return credit_status_ ? credit_status_->free_row(node)
                           : net_.free_mask_row(node);
@@ -537,6 +521,24 @@ class Simulator {
   }
 
   void enroll_for_routing(VcSlot slot);
+  /// Put a header that just failed to claim a VC to sleep: the route
+  /// phase skips it until a VC of a candidate channel (`cand_mask` at
+  /// `node`) is released, its detection `deadline` arrives (kForever:
+  /// none), or a fault or sharded step wakes everything.
+  void park_header(VcSlot slot, NodeId node, std::uint32_t cand_mask,
+                   Cycle deadline);
+  /// Move the headers whose detection deadline is cycle `t` from Asleep
+  /// to DeadlineDue (start of the route phase).
+  void wake_due_headers(Cycle t);
+  /// Wake every pending header and forget every deadline (the sharded
+  /// route pass has no parked state of its own). Parked sources stay
+  /// parked: inject and every VC release run sequentially on either
+  /// path, so their wakes are never missed.
+  void wake_pending_routes();
+  /// Re-read the installed limiter's capability bits, and wake every
+  /// parked source: the old limiter's denials say nothing about a new
+  /// one.
+  void resolve_limiter();
   void start_injection(NodeId node, unsigned inj_channel, MsgId id, Cycle t);
   /// Free every VC the worm occupies (head-to-tail upstream walk),
   /// including an ejection-port binding, and reset the message record
@@ -605,14 +607,12 @@ class Simulator {
   std::vector<Cycle> head_since_;     // cycle the current queue head became head
   std::vector<std::uint32_t> alloc_rr_;  // per-node selector rotation
 
-  /// Route-pending work item. `msg` and `slot` are enrollment-time
-  /// snapshots: `slot` saves the flat-index recompute each visit, and
-  /// `msg` lets the scan prove an entry unchanged-and-still-blocked
-  /// from the route memo alone, without loading its VcState. A stale
-  /// snapshot (the tenancy ended) simply fails the memo key comparison
-  /// and takes the full path, which detects and drops the entry.
+  /// Route-pending work item: the header's VC slot, snapshot at
+  /// enrollment. A parked header is skipped from its slot's park state
+  /// alone (Network::route_park), without loading its VcState. An entry
+  /// whose tenancy ended is awake (teardown wakes the slot) and takes
+  /// the full path, which detects and drops it.
   struct PendingRoute {
-    MsgId msg = kNoMsg;
     VcSlot slot = 0;
   };
   std::vector<PendingRoute> pending_route_;
@@ -620,16 +620,13 @@ class Simulator {
   util::SmallVector<traffic::GeneratedMessage, 8> gen_buf_;
 
   // --- Saturated-regime fast path (active core only) -------------------
-  /// Per-VC-slot route memo for blocked headers: 32 bytes, all the
-  /// parked check reads (most route visits under saturation end
-  /// there). A route is a pure function of (node, dst) — node is fixed
-  /// per slot — so an entry stays valid across tenancies with `dst` as
-  /// the key; the route itself is never stored, only its candidate
-  /// mask, and is re-expanded from its computed word when a visit
-  /// needs it. `epoch_sum` snapshots candidate_epoch_sum at the last
-  /// failed selection: while it is unchanged the header is still
-  /// blocked and both the route and the selection are skipped.
-  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+  /// Per-VC-slot route memo for blocked headers: 24 bytes. A route is a
+  /// pure function of (node, dst) — node is fixed per slot — so an
+  /// entry stays valid across tenancies with `dst` as the key; the
+  /// route itself is never stored, only its candidate mask, and is
+  /// re-expanded from its computed word when a visit needs it. Whether
+  /// a blocked header is still blocked is not re-proved here: the
+  /// header parks (Network::park_route) and a release wakes it.
   struct RouteMemo {
     /// Tenancy key: set when this slot's header blocks, cleared when
     /// the tenancy ends (successful allocation or absorption). While it
@@ -640,26 +637,39 @@ class Simulator {
     /// Route key: cand_mask is valid for any tenancy with this
     /// destination (routing is a pure function of (node, dst)).
     NodeId dst = topo::kInvalidNode;
-    /// Union of the route's candidate channels, the epoch-sum footprint.
+    /// Union of the route's candidate channels: what a parked header
+    /// waits on.
     std::uint32_t cand_mask = 0;
-    /// candidate_epoch_sum at the last failed selection; equal sum ⇒
-    /// no candidate mask changed ⇒ provably still blocked.
-    std::uint64_t epoch_sum = kNoEpoch;
     /// Earliest cycle FC3D detection could fire for this tenancy: the
     /// last failed guard (message progress or witness-VC activity plus
     /// threshold). Both sources are monotone, so skipping evaluation
-    /// until then is exact, not heuristic. Reset on tenancy change.
+    /// until then is exact, not heuristic. Reset on tenancy change. A
+    /// parked header wakes at it through the deadline wheel.
     Cycle no_detect_before = 0;
   };
-  static_assert(sizeof(RouteMemo) <= 32, "route-memo key outgrew 32 B");
+  static_assert(sizeof(RouteMemo) <= 24, "route-memo key outgrew 24 B");
   std::vector<RouteMemo> route_memo_;  // empty in the dense core
   /// Router node owning each VC slot's output side (the link's dst),
   /// indexed like route_memo_ — replaces a Link load in phase_route.
   std::vector<NodeId> vc_node_;
 
+  /// Detection-deadline timer wheel for parked headers (active core,
+  /// detection on): bucket `c & deadline_mask_` holds the slots whose
+  /// no_detect_before is c, or a whole number of turns later. Every
+  /// deadline is at most `threshold` cycles ahead, so with the wheel
+  /// at least that large each bucket holds one cycle's deadlines.
+  std::vector<std::vector<VcSlot>> deadline_wheel_;
+  std::vector<VcSlot> deadline_due_;  // wake_due_headers scratch
+  Cycle deadline_mask_ = 0;
+
   bool memo_on_ = false;              // active core
   bool limiter_reads_route_ = true;   // limiter_->reads_route(), resolved
                                       // per installed limiter
+  /// Denied sources park until an output link releases a VC: the
+  /// limiter's verdict is a pure function of the status row and the
+  /// head's route, that row changes only through set_active (not under
+  /// Credit), and the core is the active one.
+  bool park_gates_ = false;
 
   // --- Flow control (resolved once at construction) --------------------
   std::unique_ptr<FlowControlScheme> flow_;
@@ -727,7 +737,6 @@ class Simulator {
   /// commit replay applies the recorded outcome verbatim unless a
   /// stamp shows an earlier commit touched the entry's inputs.
   enum class RouteDecKind : std::uint8_t {
-    Park,        // parked check failed: count a memo hit, keep entry
     Stale,       // tenancy ended elsewhere: drop entry
     Wait,        // routing delay not elapsed: keep entry
     AtDestWait,  // at destination, no free ejection port: keep entry
@@ -746,7 +755,6 @@ class Simulator {
     std::uint8_t hits = 0;         // scan_.route_memo_hits delta
     std::uint8_t vc = 0;           // Alloc: picked VC
     bool fresh_route = false;      // memo: store dst/cand_mask
-    bool write_epoch = false;      // memo: store epoch_sum
     bool tenancy_reset = false;    // memo: store msg, clear ndb
     bool write_ndb = false;        // memo: store ndb
     bool probe = false;            // Figure-2 probe fired this entry
@@ -756,8 +764,7 @@ class Simulator {
     ChannelId channel = 0;         // Alloc: picked channel
     MsgId msg = kNoMsg;
     NodeId dst = topo::kInvalidNode;   // fresh_route: route key
-    std::uint32_t cand_mask = 0;       // fresh_route: epoch footprint
-    std::uint64_t epoch_sum = 0;       // write_epoch payload
+    std::uint32_t cand_mask = 0;       // fresh_route: candidate channels
     Cycle ndb = 0;                     // write_ndb payload
   };
   /// One per-link transmit decision: the VC whose flit advances across

@@ -66,11 +66,12 @@ TEST(Presets, BuildSimulatorProducesRunnableInstance) {
 }
 
 /// Routing state is O(nodes): one coordinate-digit row per node and a
-/// 32-byte memo key per VC slot. Only a fault schedule adds the
+/// 24-byte memo key per VC slot. Only a fault schedule adds the
 /// O(nodes^2) word table its first kill tabulates. Each VC slot costs
-/// a 32-byte VcState plus its 8-byte header-arrival cycle.
+/// a 32-byte VcState plus its 8-byte header-arrival cycle, and 3 bytes
+/// of parked-waiter state.
 TEST(Presets, MemoryEstimateCountsDigitRowsAndMemoKeys) {
-  EXPECT_LE(sim::Simulator::route_memo_entry_bytes(), 32u);
+  EXPECT_LE(sim::Simulator::route_memo_entry_bytes(), 24u);
   EXPECT_EQ(sizeof(sim::VcState), 32u);
 
   config::SimConfig cfg = config::paper_base();  // 512 nodes, 3 VCs
@@ -84,16 +85,18 @@ TEST(Presets, MemoryEstimateCountsDigitRowsAndMemoKeys) {
                 slots * (32 + sizeof(sim::Cycle)) +
                 nodes * cfg.sim.net.eje_channels * sizeof(sim::EjectPort));
   EXPECT_EQ(active.lut_bytes, nodes * cfg.n * sizeof(std::uint16_t));
+  // Status rows per net link: free + admissible mask bytes, epoch and
+  // the incoming-link entry; per slot: router id, park state and
+  // parked candidate channels; per node: the watched-channel word.
+  const std::uint64_t status = net_links * (2 + 8 + 4) + slots * (4 + 1 + 2) +
+                               nodes * 4;
   EXPECT_EQ(active.status_bytes,
-            net_links * (2 + sizeof(std::uint64_t)) +
-                slots * sizeof(topo::NodeId) +
-                slots * sim::Simulator::route_memo_entry_bytes());
+            status + slots * sim::Simulator::route_memo_entry_bytes());
 
   cfg.sim.core = sim::SimCore::Dense;  // virtual routing, no memo
   const config::MemoryFootprint dense = config::estimate_memory(cfg);
   EXPECT_EQ(dense.lut_bytes, 0u);
-  EXPECT_EQ(dense.status_bytes, net_links * (2 + sizeof(std::uint64_t)) +
-                                    slots * sizeof(topo::NodeId));
+  EXPECT_EQ(dense.status_bytes, status);
 
   cfg.sim.core = sim::SimCore::Active;
   const topo::KAryNCube topo(cfg.k, cfg.n);
@@ -102,13 +105,13 @@ TEST(Presets, MemoryEstimateCountsDigitRowsAndMemoKeys) {
             active.lut_bytes + nodes * nodes * 4);
 
   // The 32,768-node cube carries 192 KiB of digit rows, not the
-  // 4 GiB an N^2 table would need; the whole estimate is ~85 MiB.
+  // 4 GiB an N^2 table would need; the whole estimate is ~83 MiB.
   config::SimConfig big = config::paper_base();
   big.k = 32;
   const config::MemoryFootprint big_mem = config::estimate_memory(big);
   EXPECT_EQ(big_mem.lut_bytes, 32768u * 3 * sizeof(std::uint16_t));
-  EXPECT_GT(big_mem.total_bytes(), 85u << 20);
-  EXPECT_LT(big_mem.total_bytes(), 86u << 20);
+  EXPECT_GT(big_mem.total_bytes(), 82u << 20);
+  EXPECT_LT(big_mem.total_bytes(), 83u << 20);
 }
 
 TEST(Sweep, LoadRange) {

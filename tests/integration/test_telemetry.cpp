@@ -377,6 +377,28 @@ TEST(ObsSessionFlags, ProfilePeriodBareOrPositive) {
             1u);
 }
 
+// Telemetry alone records no events: only --trace attaches a tracer,
+// so a --metrics-out sweep pays no per-event recording, keeps its
+// shards, and its summary carries no "trace" block.
+TEST(ObsSessionFlags, MetricsOutAloneAttachesNoTracer) {
+  const char* const metrics_only[] = {"fig05_uniform16", "--metrics-out",
+                                      "unused.jsonl"};
+  const util::ArgParser args(3, metrics_only);
+  ObsSession session(args);
+  SweepSpec spec;
+  session.attach(spec);
+  EXPECT_EQ(session.tracer(), nullptr);
+  EXPECT_EQ(spec.tracer, nullptr);
+  EXPECT_TRUE(spec.online);  // telemetry still gets its online stats
+
+  const char* const traced[] = {"fig05_uniform16", "--metrics-out",
+                                "unused.jsonl", "--trace", "unused.json"};
+  ObsSession traced_session(util::ArgParser(5, traced));
+  SweepSpec traced_spec;
+  traced_session.attach(traced_spec);
+  EXPECT_NE(traced_spec.tracer, nullptr);
+}
+
 // The spatial run's point and the tracer's capacity are checked when
 // the session is built, not after the sweep has already run.
 TEST(ObsSessionFlags, NegativeSpatialLoadRejectedWithStatus2) {

@@ -13,6 +13,7 @@
 
 #include "../support/invariants.hpp"
 #include "fault/schedule.hpp"
+#include "obs/tracer.hpp"
 #include "sim_test_util.hpp"
 
 namespace wormsim::sim {
@@ -180,6 +181,34 @@ TEST(ShardLockStep, AgreesThroughFaultTransients) {
     ASSERT_TRUE(testing::check_all_invariants(*par));
   }
   EXPECT_EQ(par->fault_events_applied(), 4u);
+}
+
+/// Sequential and sharded steps interleaved in one simulator: attaching
+/// a tracer forces the sequential path, where blocked headers park and
+/// sleep until a release or their detection deadline; the sharded path
+/// keeps no park state, so each sharded step must wake them all.
+/// Unlimited traffic past saturation deadlocks, which makes the deadlines
+/// matter across the switches.
+TEST(ShardLockStep, InterleavedSequentialStepsAgree) {
+  auto seq = make_sharded(1, 1.1, 901);
+  auto mixed = make_sharded(4, 1.1, 901);
+  for (Simulator* sim : {seq.get(), mixed.get()}) {
+    sim->set_limiter(core::make_limiter({}, sim->topology().num_nodes()));
+  }
+  obs::Tracer tracer(1u << 10);
+  for (int block = 0; block < 60; ++block) {
+    // Blocks of 5 sequential steps, then 3 sharded ones.
+    mixed->set_tracer(block % 2 == 0 ? &tracer : nullptr);
+    for (int i = 0; i < (block % 2 == 0 ? 5 : 3); ++i) {
+      seq->step();
+      mixed->step();
+    }
+    expect_networks_equal(*seq, *mixed, seq->cycle());
+    ASSERT_EQ(seq->total_deadlock_detections(),
+              mixed->total_deadlock_detections());
+    ASSERT_TRUE(testing::check_all_invariants(*mixed));
+  }
+  EXPECT_GT(seq->total_deadlock_detections(), 0u);
 }
 
 /// Seed fuzz: 100 random workload seeds, each run a short stretch at a
