@@ -74,16 +74,17 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   }
   // SoA status rows: per-net-link free/admissible masks and epoch
   // counters, the per-slot slot->router map, the parked-waiter state
-  // (per slot: park state and candidate channels; per node: watched
-  // channels and incoming links), plus the route memo. The per-message
-  // progress array grows with the message pool, which this estimate
-  // leaves out like the pool itself, and so does the deadline wheel.
+  // (per net link: waiter bits and the incoming-link entry; per slot:
+  // park state, candidate channels and waiter bit), plus the route
+  // memo. The per-message progress array grows with the message pool,
+  // which this estimate leaves out like the pool itself, and so does
+  // the deadline wheel.
   f.status_bytes = net_links * (sizeof(std::uint8_t) * 2 +
-                                sizeof(std::uint64_t) + sizeof(sim::LinkId)) +
+                                sizeof(std::uint64_t) + sizeof(sim::LinkId) +
+                                sizeof(std::uint32_t)) +
                    slots * (sizeof(topo::NodeId) +
                             sizeof(sim::Network::RoutePark) +
-                            sizeof(std::uint16_t)) +
-                   nodes * sizeof(std::uint32_t);
+                            sizeof(std::uint16_t) + sizeof(std::uint8_t));
   if (active) {
     f.status_bytes += slots * sim::Simulator::route_memo_entry_bytes();
   }

@@ -42,7 +42,8 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
   link_epoch_.assign(num_net_links_, 0);
   tenant_links_.reset(num_net_links_);
   arrival_links_.reset(num_net_links_);
-  watch_.assign(nodes, 0);
+  waiters_.assign(num_net_links_, 0);
+  park_bit_.assign(slots, 0);
   route_park_.assign(slots, RoutePark::Awake);
   park_cands_.assign(slots, 0);
   in_links_.assign(num_net_links_, kNoLink);
@@ -61,40 +62,64 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
     }
   }
   // Incoming links per node (every node of a k-ary n-cube has exactly
-  // num_channels of them): the VC slots a parked-header wake scans.
+  // num_channels of them) and each input VC's waiter bit.
+  vc_shift_ = static_cast<unsigned>(std::bit_width(params.num_vcs - 1u));
+  const unsigned chans = topo.num_channels();
   std::vector<unsigned> filled(nodes, 0);
   for (LinkId l = 0; l < num_net_links_; ++l) {
     const NodeId to = links_[l].dst;
-    assert(filled[to] < topo.num_channels());
-    in_links_[static_cast<std::size_t>(to) * topo.num_channels() +
-              filled[to]++] = l;
+    assert(filled[to] < chans);
+    const unsigned port = filled[to]++;
+    in_links_[static_cast<std::size_t>(to) * chans + port] = l;
+    for (unsigned v = 0; v < params.num_vcs; ++v) {
+      park_bit_[l * params.num_vcs + v] = static_cast<std::uint8_t>(
+          std::min(port << vc_shift_ | v, kSharedBit));
+    }
+  }
+  for (NodeId node = 0; node < nodes; ++node) {
+    for (unsigned i = 0; i < params.inj_channels; ++i) {
+      park_bit_[net_vc_count_ + node * params.inj_channels + i] =
+          static_cast<std::uint8_t>(
+              std::min((chans << vc_shift_) + i, kSharedBit));
+    }
   }
 }
 
-void Network::wake_watchers(NodeId node, ChannelId channel) noexcept {
-  const std::uint32_t bit = 1u << channel;
-  if (watch_[node] & bit) {
-    // Every header routed at `node` sits in one of its input VCs: the
-    // slots of its incoming network links and of its injection links.
-    const auto wake = [&](VcSlot slot) {
-      if (route_park_[slot] != RoutePark::Awake && (park_cands_[slot] & bit)) {
-        route_park_[slot] = RoutePark::Awake;
-      }
-    };
-    const unsigned chans = topo_->num_channels();
-    const LinkId* in = in_links_.data() + static_cast<std::size_t>(node) * chans;
-    for (unsigned c = 0; c < chans; ++c) {
-      const VcSlot base = in[c] * params_.num_vcs;
-      for (unsigned v = 0; v < params_.num_vcs; ++v) wake(base + v);
-    }
-    const VcSlot inj = net_vc_count_ + node * params_.inj_channels;
-    for (unsigned i = 0; i < params_.inj_channels; ++i) wake(inj + i);
+void Network::wake_waiters(LinkId link) noexcept {
+  const NodeId node = links_[link].src;
+  const std::uint32_t channel = 1u << links_[link].src_channel;
+  const std::uint32_t waiting = waiters_[link];
+  if (waiting & kGateWaiter) {
+    std::uint32_t* row = waiters_.data() + net_link(node, 0);
+    for (unsigned c = 0; c < topo_->num_channels(); ++c) row[c] &= ~kGateWaiter;
   }
-  watch_[node] &= ~(bit | kGateWatch);
+  waiters_[link] = 0;
+  // A bit may outlive its header's wait (it woke through another link
+  // and parked again elsewhere), so wake only headers still parked on
+  // this channel.
+  const auto wake = [&](VcSlot slot) {
+    if (route_park_[slot] != RoutePark::Awake &&
+        (park_cands_[slot] & channel) != 0) {
+      route_park_[slot] = RoutePark::Awake;
+    }
+  };
+  for (std::uint32_t m = waiting & ~kGateWaiter; m != 0; m &= m - 1) {
+    const auto bit = static_cast<unsigned>(std::countr_zero(m));
+    if (bit < kSharedBit) {
+      wake(input_slot(node, bit));
+      continue;
+    }
+    const unsigned net_inputs = topo_->num_channels() << vc_shift_;
+    for (unsigned i = kSharedBit; i < net_inputs + params_.inj_channels; ++i) {
+      if (i >= net_inputs || (i & ((1u << vc_shift_) - 1u)) < params_.num_vcs) {
+        wake(input_slot(node, i));
+      }
+    }
+  }
 }
 
 void Network::wake_all_parked() noexcept {
-  std::fill(watch_.begin(), watch_.end(), 0u);
+  std::fill(waiters_.begin(), waiters_.end(), 0u);
   std::fill(route_park_.begin(), route_park_.end(), RoutePark::Awake);
 }
 

@@ -3,6 +3,7 @@
 // limiters consume. All control flow lives in Simulator.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -267,7 +268,7 @@ class Network final : public core::ChannelStatus {
   /// Mark/unmark tenancy in the link's active mask. The SOLE writer of
   /// active_vc_mask, which is what keeps the SoA free-mask mirror, the
   /// per-link epochs and the parked waiters coherent: a release on a
-  /// watched link wakes them (one bit test otherwise). Inline: called
+  /// link someone waits on wakes them (one load otherwise). Inline: called
   /// on every tenancy transition.
   void set_active(VcRef ref, bool active) noexcept {
     Link& l = links_[ref.link];
@@ -285,9 +286,7 @@ class Network final : public core::ChannelStatus {
       } else {
         tenant_links_.erase(ref.link);
       }
-      if (!active && (watch_[l.src] & (kGateWatch | 1u << l.src_channel))) {
-        wake_watchers(l.src, l.src_channel);
-      }
+      if (!active && waiters_[ref.link] != 0) wake_waiters(ref.link);
     }
   }
 
@@ -297,8 +296,10 @@ class Network final : public core::ChannelStatus {
   // on one of their node's output links (or by a fault, which wakes
   // everything). They park here, and set_active wakes them when such a
   // release happens, so the cycle loop never re-proves "still blocked".
-  // watch_[node] marks the output channels someone waits on; the wake
-  // scans the node's input VC slots (the only headers routed there).
+  // Every header routed at a node sits in one of its input VCs (the VCs
+  // of its incoming network links and its injection links); each has a
+  // bit, and waiters_[link] holds the bits of the headers waiting on
+  // that output link, so a wake touches exactly its waiters.
 
   /// State of the route-pending header at a VC slot.
   enum class RoutePark : std::uint8_t {
@@ -315,7 +316,11 @@ class Network final : public core::ChannelStatus {
   void park_route(VcSlot slot, NodeId node, std::uint32_t cand_mask) noexcept {
     route_park_[slot] = RoutePark::Asleep;
     park_cands_[slot] = static_cast<std::uint16_t>(cand_mask);
-    watch_[node] |= cand_mask;
+    std::uint32_t* row = waiters_.data() + net_link(node, 0);
+    const std::uint32_t bit = 1u << park_bit_[slot];
+    for (std::uint32_t m = cand_mask; m != 0; m &= m - 1) {
+      row[std::countr_zero(m)] |= bit;
+    }
   }
   /// The header's detection deadline arrived (no-op unless it sleeps).
   void wake_route_deadline(VcSlot slot) noexcept {
@@ -328,21 +333,28 @@ class Network final : public core::ChannelStatus {
     route_park_[slot] = RoutePark::Awake;
   }
   /// Park `node`'s source until a VC of any of its output links is
-  /// released (the limiter verdict reads the whole status row).
-  void park_gate(NodeId node) noexcept { watch_[node] |= kGateWatch; }
-  bool gate_parked(NodeId node) const noexcept {
-    return (watch_[node] & kGateWatch) != 0;
+  /// released (the limiter verdict reads the whole status row): the
+  /// gate bit goes on every output link of the node.
+  void park_gate(NodeId node) noexcept {
+    std::uint32_t* row = waiters_.data() + net_link(node, 0);
+    for (unsigned c = 0; c < topo_->num_channels(); ++c) row[c] |= kGateWaiter;
   }
-  /// Output channels of `node` a parked header waits on, plus
-  /// kGateWatch when its source is parked (invariant checks).
-  std::uint32_t watch_mask(NodeId node) const noexcept { return watch_[node]; }
+  bool gate_parked(NodeId node) const noexcept {
+    return (waiters_[net_link(node, 0)] & kGateWaiter) != 0;
+  }
+  /// Whether a release on output link `link` wakes the header parked at
+  /// `slot` (invariant checks).
+  bool waits_on(VcSlot slot, LinkId link) const noexcept {
+    const std::uint32_t cands = park_cands_[slot];
+    return (waiters_[link] >> park_bit_[slot] & 1u) != 0 &&
+           (cands >> links_[link].src_channel & 1u) != 0;
+  }
   /// Candidate channels the header parked at `slot` waits on.
   std::uint32_t park_cands(VcSlot slot) const noexcept {
     return park_cands_[slot];
   }
   /// Wake every parked header and source (fault events).
   void wake_all_parked() noexcept;
-  static constexpr std::uint32_t kGateWatch = 1u << 31;
 
   // --- Dead links (fault injection) ------------------------------------
   /// Zero / restore a network link's admissible-VC field. A dead link's
@@ -407,14 +419,30 @@ class Network final : public core::ChannelStatus {
   util::ActiveSet tenant_links_;   // net links with active_vc_mask != 0
   util::ActiveSet arrival_links_;  // net links with non-empty in_flight
 
-  // Parked waiters (see "Parked waiters" above).
-  /// Wake the headers at `node` waiting on output channel `channel` and
-  /// the node's parked source; clears the channel's watch bit.
-  void wake_watchers(NodeId node, ChannelId channel) noexcept;
-  std::vector<std::uint32_t> watch_;     // per node: channel bits | gate
-  std::vector<RoutePark> route_park_;    // per VC slot
+  // Parked waiters (see "Parked waiters" above). A node's input VC with
+  // index i (VC v of its p-th incoming link: p << vc_shift_ | v; then its
+  // injection VCs) owns bit min(i, kSharedBit); the shared top bit stands
+  // for every input VC past it, so any network size stays exact.
+  static constexpr unsigned kSharedBit = 30;
+  static constexpr std::uint32_t kGateWaiter = 1u << 31;
+  /// Wake the headers waiting on output link `link` and, when its gate
+  /// bit is set, the source of the link's node.
+  void wake_waiters(LinkId link) noexcept;
+  /// Input VC slot with index `i` at `node` (see park_bit_).
+  VcSlot input_slot(NodeId node, unsigned i) const noexcept {
+    const unsigned net_inputs = topo_->num_channels() << vc_shift_;
+    if (i < net_inputs) {
+      return in_links_[net_link(node, 0) + (i >> vc_shift_)] * params_.num_vcs +
+             (i & ((1u << vc_shift_) - 1u));
+    }
+    return net_vc_count_ + node * params_.inj_channels + (i - net_inputs);
+  }
+  std::vector<std::uint32_t> waiters_;     // per net link: slot bits | gate
+  std::vector<std::uint8_t> park_bit_;     // per VC slot: its waiter bit
+  std::vector<RoutePark> route_park_;      // per VC slot
   std::vector<std::uint16_t> park_cands_;  // per VC slot, while parked
   std::vector<LinkId> in_links_;  // per node: num_channels incoming links
+  unsigned vc_shift_ = 0;         // bit_width(num_vcs - 1)
 };
 
 }  // namespace wormsim::sim

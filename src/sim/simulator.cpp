@@ -780,17 +780,8 @@ void Simulator::sample_spatial_sharded(Cycle t) {
 bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
                             bool detect_on, Cycle threshold, bool park) {
   const VcSlot slot = pending_route_[i].slot;
-  // Parked header: it failed to claim a VC, and since then no VC of a
-  // candidate channel was released (a release wakes it), its detection
-  // deadline has not arrived (the wheel wakes it) and no fault fired —
-  // it is provably still blocked and the visit is a no-op, decided
-  // without touching the VcState, the memo or the Message record. The
-  // dense core never parks.
   const Network::RoutePark parked = net_.route_park(slot);
-  if (parked == Network::RoutePark::Asleep) {
-    ++scan_.route_memo_hits;
-    return false;
-  }
+  assert(parked != Network::RoutePark::Asleep);  // phase_route skips those
   VcState& v = net_.vc_at(slot);
   if (!v.pending_route) {
     // Stale entry (the worm was absorbed by deadlock recovery).
@@ -808,21 +799,18 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   // candidate-channel mask. The tenancy key memo->msg marks a header
   // already observed blocked in transit this tenancy: its retries touch
   // neither the Message record nor the destination check (both settled
-  // on first sight). A header its detection deadline woke is still
-  // blocked (no candidate released a VC since it parked), so selection
-  // is skipped too. The route itself is expanded from its computed
+  // on first sight). The route itself is expanded from its computed
   // word into route_buf_ only when the visit reaches the probe,
   // selection or the FC3D check.
   RouteMemo* memo = nullptr;
   NodeId dst = topo::kInvalidNode;
   bool expanded = false;  // route_buf_ holds route(node, dst)
-  const bool still_blocked = parked == Network::RoutePark::DeadlineDue;
   if (memo_on_ && route_memo_[slot].msg == v.msg) {
     memo = &route_memo_[slot];
     ++scan_.route_memo_hits;
     dst = memo->dst;
   } else {
-    assert(!still_blocked);
+    assert(parked != Network::RoutePark::DeadlineDue);
     Message& m = pool_[v.msg];
     dst = m.dst;
     if (node == dst) {
@@ -874,6 +862,14 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       tracer_->record(t, obs::EventKind::AloProbe, node, rules);
     }
   }
+  // Selection cannot succeed, and is skipped with the route expansion,
+  // when the header is still blocked: its detection deadline woke it
+  // but no candidate channel released a VC since it parked, or no
+  // candidate channel has a free VC at all (a release woke it, but a
+  // header visited earlier claimed that VC).
+  const bool still_blocked =
+      parked == Network::RoutePark::DeadlineDue ||
+      (memo != nullptr && !candidate_vc_free(node, memo->cand_mask));
   std::optional<routing::Pick> pick;
   // VCT's whole-packet admission gates the claim itself; a failed
   // admission leaves the header blocked exactly like a failed
@@ -951,8 +947,18 @@ void Simulator::phase_route(Cycle t) {
   const Cycle threshold = cfg_.detection.threshold;
   if (!deadline_wheel_.empty()) wake_due_headers(t);
   for (std::size_t i = 0; i < pending_route_.size();) {
-    if (!route_entry(i, t, routing_delay, detect_on, threshold,
-                     /*park=*/true)) {
+    // Parked header: it failed to claim a VC, and since then no VC of a
+    // candidate channel was released (a release wakes it), its detection
+    // deadline has not arrived (the wheel wakes it) and no fault fired —
+    // it is provably still blocked and the visit is a no-op, decided
+    // without touching the VcState, the memo or the Message record. The
+    // dense core never parks.
+    if (net_.route_park(pending_route_[i].slot) ==
+        Network::RoutePark::Asleep) {
+      ++scan_.route_memo_hits;
+      ++i;
+    } else if (!route_entry(i, t, routing_delay, detect_on, threshold,
+                            /*park=*/true)) {
       ++i;
     }
   }
@@ -1949,9 +1955,14 @@ bool Simulator::check_active_sets(std::string* why) const {
       }
     }
     const NodeId node = vc_node_[slot];
-    if (net.park_cands(slot) != memo.cand_mask ||
-        (net.watch_mask(node) & memo.cand_mask) != memo.cand_mask) {
-      return fail("parked header waits on an unwatched channel" + at);
+    if (net.park_cands(slot) != memo.cand_mask) {
+      return fail("parked header's candidate channels are stale" + at);
+    }
+    for (std::uint32_t m = memo.cand_mask; m != 0; m &= m - 1) {
+      const auto c = static_cast<ChannelId>(std::countr_zero(m));
+      if (!net.waits_on(slot, net.net_link(node, c))) {
+        return fail("parked header waits on an unwatched channel" + at);
+      }
     }
     if (fc_admit(v.msg_length, net.params().buf_flits)) {
       route_lookup(node, memo.dst, route);

@@ -32,6 +32,7 @@
 // tests/sim/test_core_equivalence.cpp enforces byte-identical results.
 #pragma once
 
+#include <bit>
 #include <deque>
 #include <memory>
 #include <queue>
@@ -390,8 +391,8 @@ class Simulator {
   /// phase_transmit so the per-link call avoids the parameter loads.
   void transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap);
   void inject_node(NodeId node, Cycle t);
-  /// One pending_route_ entry of the sequential route phase, start to
-  /// finish (parked check through allocation). Returns true when the
+  /// One awake pending_route_ entry of the sequential route phase, start
+  /// to finish (stale check through allocation). Returns true when the
   /// entry was resolved and swap-removed from pending_route_ (the
   /// caller must then re-examine index i), false when it stays pending.
   /// A header that stays blocked parks when `park` is set (see
@@ -463,6 +464,16 @@ class Simulator {
     } else {
       routing_->route(node, dst, out);
     }
+  }
+
+  /// Whether any output channel of `node` in `cand_mask` has a free VC
+  /// (necessary for selection to pick one).
+  bool candidate_vc_free(NodeId node, std::uint32_t cand_mask) const {
+    const std::uint8_t* row = net_.free_mask_row(node);
+    for (std::uint32_t m = cand_mask; m != 0; m &= m - 1) {
+      if (row[std::countr_zero(m)] != 0) return true;
+    }
+    return false;
   }
 
   /// Union of a route's candidate physical channels as a bitmask.

@@ -133,6 +133,71 @@ TEST(Wakeups, MidPassAbsorptionWakesALaterHeaderTheSameCycle) {
   EXPECT_TRUE(reclaimed);
 }
 
+/// A release on an output link wakes exactly the headers parked on that
+/// link, and no other — also where a node has more input VCs than
+/// waiter bits (4 channels x 8 VCs plus injection), so that several
+/// share the top bit and only their candidate channels tell them apart.
+TEST(Wakeups, ReleaseWakesExactlyTheHeadersParkedOnThatLink) {
+  for (const unsigned vcs : {3u, 8u}) {
+    SCOPED_TRACE("num_vcs " + std::to_string(vcs));
+    const topo::KAryNCube topo(4, 2);
+    NetworkParams params;
+    params.num_vcs = vcs;
+    params.inj_channels = 2;
+    Network net(topo, params);
+    const NodeId node = 5;
+    const unsigned chans = topo.num_channels();
+    // Every header routed at `node` sits in one of these.
+    std::vector<VcSlot> inputs;
+    for (LinkId l = 0; l < net.num_net_links(); ++l) {
+      if (net.link(l).dst != node) continue;
+      for (unsigned v = 0; v < vcs; ++v) {
+        inputs.push_back(net.vc_flat_index({l, static_cast<std::uint8_t>(v)}));
+      }
+    }
+    for (unsigned i = 0; i < params.inj_channels; ++i) {
+      inputs.push_back(net.vc_flat_index({net.inj_link(node, i), 0}));
+    }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      net.park_route(inputs[i], node, 1u << (i % chans));
+    }
+    const VcRef out{net.net_link(node, 1), 0};
+    net.set_active(out, true);  // an allocation wakes nobody
+    for (const VcSlot slot : inputs) {
+      EXPECT_EQ(net.route_park(slot), Network::RoutePark::Asleep);
+    }
+    net.set_active(out, false);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(net.route_park(inputs[i]) == Network::RoutePark::Awake,
+                i % chans == 1)
+          << "input " << i;
+    }
+  }
+}
+
+/// The same wakes through the shared top waiter bit, end to end: a
+/// 4-D node has more input VCs than waiter bits (8 channels x 3 VCs,
+/// padded to 4, plus injection), and the saturated parked core must
+/// still match the dense core cycle for cycle.
+TEST(Wakeups, SharedWaiterBitMatchesDenseEveryCycle) {
+  const auto make = [](SimCore core) {
+    SimulatorConfig cfg = default_config();
+    cfg.core = core;
+    return testing::make_traffic_sim(3, 4, 1.2, 16, cfg);
+  };
+  auto parked = make(SimCore::Active);
+  auto dense = make(SimCore::Dense);
+  for (int i = 0; i < 600; ++i) {
+    parked->step();
+    dense->step();
+    expect_lock_step(*parked, *dense);
+    std::string why;
+    ASSERT_TRUE(parked->check_active_sets(&why))
+        << why << " cycle " << parked->cycle();
+  }
+  EXPECT_GT(parked->scan_stats().route_memo_hits, 0u);
+}
+
 /// Counts allow() calls and forwards everything else, including the
 /// capability bits, to the wrapped limiter.
 class CountingLimiter final : public core::InjectionLimiter {
